@@ -520,9 +520,10 @@ gate_trace() {
 }
 
 # Dep hygiene: the cluster crate must take its transport from pl-wire —
-# never from pl-serve's internals (serve's protocol/fault/metrics
-# modules are compatibility re-export shims over pl-wire, not a layer
-# other crates may build on).
+# never through pl-serve (its server module is an engine over the
+# pl-wire front-end, not a transport layer other crates may build on;
+# the grep also keeps the deleted protocol/fault/metrics re-export
+# paths from coming back).
 dep_hygiene() {
     cargo tree -p pl-cluster --edges normal | grep -q 'pl-wire' \
         || { echo "ci: pl-cluster lost its pl-wire dependency" >&2; return 1; }

@@ -10,7 +10,7 @@
 //!
 //! The contract, per scenario:
 //!
-//! * **zero wrong answers** — corruption is detected (protocol v3
+//! * **zero wrong answers** — corruption is detected (reply
 //!   checksums) and retried, never returned;
 //! * **≥ 99% request success** after bounded retries, even with >10% of
 //!   reply frames faulted;

@@ -1,23 +1,25 @@
 //! E23 — distributed-tracing overhead audit, emitting `BENCH_trace.json`.
 //!
-//! Protocol v5 added the `TRACE_CTX` extension trailer on `BATCH` and
-//! context adoption in the front-end. The contract is that the
-//! *untraced* path stays free: a v5 session carrying no context must
-//! encode, parse, and serve within ~5% of the pre-v5 code path. That
-//! is the gated number; the cost of actually shipping and recording a
-//! context is reported alongside as an informative row.
+//! `BATCH` frames may carry a `TRACE_CTX` extension trailer, which the
+//! front-end adopts so server spans join the caller's trace. The
+//! contract is that the *untraced* path stays free: with tracing off,
+//! the context-capable code must encode, parse, and serve within ~5% of
+//! the context-free path. Those are the gated rows; the cost of
+//! actually recording a trace is reported alongside as an informative
+//! row.
 //!
-//! Three workloads:
+//! Three workloads, each with a `plain` baseline row:
 //!
-//! * `wire.encode` — `encode_batch` (pre-v5) vs `encode_batch_ctx`
-//!   with no context on a v5 session (the gate) vs with a context
-//!   (informative: +25 trailer bytes).
-//! * `wire.parse` — `parse_batch` vs `parse_batch_ctx` on the same
+//! * `wire.encode` — `encode_batch` (`plain`) vs `encode_batch_ctx`
+//!   with no context (`no-ctx`, the gate) vs with a context (`ctx`,
+//!   informative: +25 trailer bytes).
+//! * `wire.parse` — `parse_batch` vs `parse_batch_ctx` on the matching
 //!   bodies, same three modes.
-//! * `serve.tcp` — a real client/server batch loop: a v4 session
-//!   (pre-v5 parse path) vs a v5 session without context (the gate)
-//!   vs a v5 session with context and tracing on (informative: ring
-//!   pushes on every span).
+//! * `serve.tcp` — a real client/server batch loop with tracing off:
+//!   context-free batches (`plain`) vs batches carrying a `TRACE_CTX`
+//!   (`ctx-off`, the gate: trailer bytes plus context adoption) vs the
+//!   same batches with tracing on (`traced`, informative: ring pushes
+//!   on every span).
 //!
 //! Each gated mode is the *minimum* of three interleaved runs — on a
 //! loaded CI box the min is far more noise-robust than the mean, and
@@ -31,8 +33,8 @@ use pl_bench::{banner, f1, quick_mode, rng, Table};
 use pl_labeling::threshold::encode_with_stats_threads;
 use pl_labeling::PowerLawScheme;
 use pl_obs::TraceContext;
-use pl_serve::protocol::{encode_batch, encode_batch_ctx, parse_batch, parse_batch_ctx};
 use pl_serve::{Client, LabelStore, Query, SchemeTag, StoreConfig, TaggedLabeling};
+use pl_wire::protocol::{encode_batch, encode_batch_ctx, parse_batch, parse_batch_ctx, VERSION};
 use rand::Rng;
 
 struct Row {
@@ -81,7 +83,7 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
         parent_span: 99,
     };
 
-    // Encode: plain vs v5-no-ctx (gate) vs v5-with-ctx.
+    // Encode: plain vs no-ctx (gate) vs ctx.
     let timings = race(
         11,
         iters,
@@ -90,10 +92,12 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
                 std::hint::black_box(encode_batch(&queries).expect("encode"));
             },
             &mut || {
-                std::hint::black_box(encode_batch_ctx(&queries, None, 5).expect("encode"));
+                std::hint::black_box(encode_batch_ctx(&queries, None, VERSION).expect("encode"));
             },
             &mut || {
-                std::hint::black_box(encode_batch_ctx(&queries, Some(&ctx), 5).expect("encode"));
+                std::hint::black_box(
+                    encode_batch_ctx(&queries, Some(&ctx), VERSION).expect("encode"),
+                );
             },
         ],
     );
@@ -101,21 +105,21 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
     let pct = |x: f64, base: f64| (x - base) / base * 100.0;
     rows.push(Row {
         workload: "wire.encode",
-        mode: "pre-v5",
+        mode: "plain",
         ns_per_op: plain,
         overhead_pct: 0.0,
         gated: false,
     });
     rows.push(Row {
         workload: "wire.encode",
-        mode: "v5-no-ctx",
+        mode: "no-ctx",
         ns_per_op: gate,
         overhead_pct: pct(gate, plain),
         gated: true,
     });
     rows.push(Row {
         workload: "wire.encode",
-        mode: "v5-ctx",
+        mode: "ctx",
         ns_per_op: with_ctx,
         overhead_pct: pct(with_ctx, plain),
         gated: false,
@@ -123,7 +127,7 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
 
     // Parse: same three modes over the matching bodies.
     let bare = encode_batch(&queries).expect("encode");
-    let traced = encode_batch_ctx(&queries, Some(&ctx), 5).expect("encode");
+    let traced = encode_batch_ctx(&queries, Some(&ctx), VERSION).expect("encode");
     let timings = race(
         11,
         iters,
@@ -132,31 +136,31 @@ fn wire_rows(iters: usize, rows: &mut Vec<Row>) {
                 std::hint::black_box(parse_batch(&bare).expect("parse"));
             },
             &mut || {
-                std::hint::black_box(parse_batch_ctx(&bare, 5).expect("parse"));
+                std::hint::black_box(parse_batch_ctx(&bare, VERSION).expect("parse"));
             },
             &mut || {
-                std::hint::black_box(parse_batch_ctx(&traced, 5).expect("parse"));
+                std::hint::black_box(parse_batch_ctx(&traced, VERSION).expect("parse"));
             },
         ],
     );
     let (plain, gate, with_ctx) = (timings[0], timings[1], timings[2]);
     rows.push(Row {
         workload: "wire.parse",
-        mode: "pre-v5",
+        mode: "plain",
         ns_per_op: plain,
         overhead_pct: 0.0,
         gated: false,
     });
     rows.push(Row {
         workload: "wire.parse",
-        mode: "v5-no-ctx",
+        mode: "no-ctx",
         ns_per_op: gate,
         overhead_pct: pct(gate, plain),
         gated: true,
     });
     rows.push(Row {
         workload: "wire.parse",
-        mode: "v5-ctx",
+        mode: "ctx",
         ns_per_op: with_ctx,
         overhead_pct: pct(with_ctx, plain),
         gated: false,
@@ -181,13 +185,14 @@ fn serve_rows(n: usize, batches: usize, rows: &mut Vec<Row>) {
         .collect();
 
     // ns per *query*, three sessions timed in interleaved rounds (see
-    // [`race`]): v4, v5 without context, v5 traced.
+    // [`race`]): context-free, context with tracing off, traced.
     let mut clients = [
-        Client::connect_version(handle.addr(), 4).expect("connect v4"),
-        Client::connect_version(handle.addr(), 5).expect("connect v5"),
-        Client::connect_version(handle.addr(), 5).expect("connect v5 traced"),
+        Client::connect(handle.addr()).expect("connect plain"),
+        Client::connect(handle.addr()).expect("connect ctx-off"),
+        Client::connect(handle.addr()).expect("connect traced"),
     ];
-    let ctxs: [Option<TraceContext>; 3] = [None, None, Some(TraceContext::root())];
+    let ctx = TraceContext::root();
+    let ctxs: [Option<&TraceContext>; 3] = [None, Some(&ctx), Some(&ctx)];
     let mut best = [f64::INFINITY; 3];
     pl_obs::set_tracing(false);
     for _ in 0..9 {
@@ -195,15 +200,11 @@ fn serve_rows(n: usize, batches: usize, rows: &mut Vec<Row>) {
             pl_obs::set_tracing(i == 2);
             // Warm-up quarter-run, then the measured run.
             for _ in 0..batches / 4 {
-                clients[i]
-                    .batch_ctx(&queries, ctxs[i].as_ref())
-                    .expect("batch");
+                clients[i].batch_ctx(&queries, ctxs[i]).expect("batch");
             }
             let start = Instant::now();
             for _ in 0..batches {
-                clients[i]
-                    .batch_ctx(&queries, ctxs[i].as_ref())
-                    .expect("batch");
+                clients[i].batch_ctx(&queries, ctxs[i]).expect("batch");
             }
             best[i] =
                 best[i].min(start.elapsed().as_nanos() as f64 / (batches * queries.len()) as f64);
@@ -214,34 +215,34 @@ fn serve_rows(n: usize, batches: usize, rows: &mut Vec<Row>) {
     for c in clients {
         c.goodbye().ok();
     }
-    let (v4, gate, traced) = (best[0], best[1], best[2]);
+    let (plain, gate, traced) = (best[0], best[1], best[2]);
     handle.shutdown();
 
     rows.push(Row {
         workload: "serve.tcp",
-        mode: "v4",
-        ns_per_op: v4,
+        mode: "plain",
+        ns_per_op: plain,
         overhead_pct: 0.0,
         gated: false,
     });
     rows.push(Row {
         workload: "serve.tcp",
-        mode: "v5-no-ctx",
+        mode: "ctx-off",
         ns_per_op: gate,
-        overhead_pct: (gate - v4) / v4 * 100.0,
+        overhead_pct: (gate - plain) / plain * 100.0,
         gated: true,
     });
     rows.push(Row {
         workload: "serve.tcp",
-        mode: "v5-traced",
+        mode: "traced",
         ns_per_op: traced,
-        overhead_pct: (traced - v4) / v4 * 100.0,
+        overhead_pct: (traced - plain) / plain * 100.0,
         gated: false,
     });
 }
 
 fn main() {
-    banner("E23", "trace-context propagation overhead (protocol v5)");
+    banner("E23", "trace-context propagation overhead");
     let out_path = {
         let args: Vec<String> = std::env::args().collect();
         args.iter()

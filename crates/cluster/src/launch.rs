@@ -196,7 +196,6 @@ pub fn launch(tagged: &TaggedLabeling, opts: &LaunchOptions) -> Result<ClusterHa
         fault_plan: opts.router_fault_plan.clone(),
         idle_timeout: opts.idle_timeout,
         stall_timeout: opts.stall_timeout,
-        max_version: None,
     };
     match route_with(map.clone(), &opts.router_addr, opts.config.clone(), front) {
         Ok(router) => Ok(ClusterHandle {

@@ -14,8 +14,8 @@
 //!   validate pushed maps themselves) and is re-exported here.
 //! * [`map`] — the serializable [`ClusterMap`]: epoch-numbered,
 //!   FNV-checksummed description of the partitioning plus the
-//!   backend-address list, small enough to hand to every router (and,
-//!   since protocol v6, to push to every backend over `MAP_SET`).
+//!   backend-address list, small enough to hand to every router and to
+//!   push to every backend over `MAP_SET`.
 //!   Likewise re-exported from [`pl_serve::map`].
 //! * [`reconfig`] — the live-rebalance coordinator: takes the cluster
 //!   from epoch `E` to `E+1` without dropping a query by preparing the
@@ -46,7 +46,7 @@
 //! * [`trace_merge`] — cluster-wide trace assembly: per-origin tagging
 //!   and the causal (parent-before-child) merge of router + backend
 //!   trace rings behind the router's `TRACE_DUMP` and
-//!   `plab trace --cluster` / `--explain` (protocol v5 trace context).
+//!   `plab trace --cluster` / `--explain` (the wire's `TRACE_CTX`).
 //!
 //! With `R ≥ 2` the candidate list survives any single backend death:
 //! the killed backend owned at most one of each endpoint's replica

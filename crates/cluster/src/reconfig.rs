@@ -1,7 +1,7 @@
 //! The live-rebalance coordinator: epoch `E` → `E+1` without dropping
 //! a query.
 //!
-//! The rollout is a prepare/commit protocol over the v6 `MAP_SET` and
+//! The rollout is a prepare/commit protocol over the `MAP_SET` and
 //! `LABELS` opcodes (see RELIABILITY.md §Reconfiguration):
 //!
 //! 1. **Prepare backends.** Every backend of the *new* map gets the
@@ -305,9 +305,9 @@ pub fn rebalance(
     options: &RebalanceOptions,
 ) -> Result<ReconfigReport, ReconfigError> {
     let mut router = Client::connect(router_addr)?;
-    let old_bytes = router.map_get()?.ok_or_else(|| {
-        ReconfigError::Invalid("router serves no cluster map (protocol v6 required)".into())
-    })?;
+    let old_bytes = router
+        .map_get()?
+        .ok_or_else(|| ReconfigError::Invalid("router serves no cluster map".into()))?;
     let old_map = ClusterMap::from_bytes(&old_bytes).map_err(ReconfigError::Map)?;
     let new_map = next_map(&old_map, action)?;
     if new_map.n as usize != tagged.labeling.len() {

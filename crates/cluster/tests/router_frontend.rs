@@ -2,11 +2,12 @@
 //!
 //! These tests pin the behaviours the router inherited from the
 //! refactor rather than implementing itself: byte-identical wire
-//! replies across every protocol version, connection shedding at
+//! replies, the single-version HELLO check, connection shedding at
 //! `max_conns`, and front-end fault injection — all of which the old
 //! private router transport lacked (shedding, faults) or duplicated
 //! (framing).
 
+use std::io::Read;
 use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
@@ -15,11 +16,11 @@ use pl_cluster::{route_with, split_all, ClusterMap, Partitioner, RouterConfig, R
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
-use pl_serve::protocol::{encode_batch, encode_hello_version, opcode, read_frame, write_frame};
 use pl_serve::{
     Client, LabelStore, Query, RetryPolicy, SchemeTag, ServerHandle, StoreConfig, TaggedLabeling,
 };
 use pl_wire::fault::FaultPlan;
+use pl_wire::protocol::{encode_batch, encode_hello, opcode, read_frame, write_frame};
 use pl_wire::FrontendOptions;
 
 const SEED: u64 = 0xF00D;
@@ -86,33 +87,66 @@ fn counter_sum(registry: &pl_obs::MetricsRegistry, name: &str) -> u64 {
 
 /// The router must put the same bytes on the wire as a single server:
 /// the identical golden frames `front_equivalence.rs` pins for
-/// `pl_serve`, here through the scatter-gather path, on every version.
+/// `pl_serve`, here through the scatter-gather path.
 #[test]
 fn router_replies_with_the_same_golden_bytes_as_a_server() {
     let (backends, router) = single_backend_cluster(&path_labeling(), FrontendOptions::default());
-    for version in 1..=4u8 {
+    let mut stream = TcpStream::connect(router.addr()).expect("connect");
+    write_frame(&mut stream, &encode_hello()).expect("hello");
+    let hello_ok = read_frame(&mut stream).expect("hello_ok");
+    assert_eq!(
+        hello_ok,
+        vec![0x80, 0x07, 0x01, 0x08, 0x00, 0x00, 0x00],
+        "router HELLO_OK drifted"
+    );
+
+    let queries = [Query::adjacent(0, 1), Query::adjacent(0, 3)];
+    write_frame(&mut stream, &encode_batch(&queries).expect("encode")).expect("batch");
+    let reply = read_frame(&mut stream).expect("reply");
+    #[rustfmt::skip]
+    let golden = vec![
+        0x81, 0x02, 0x00, 0x01, 0x00, // BATCH_REPLY: Adjacent, NotAdjacent
+        0x57, 0x9F, 0x20, 0x3E,       // FNV-1a-32 LE
+    ];
+    assert_eq!(reply, golden, "router BATCH_REPLY drifted");
+
+    write_frame(&mut stream, &[opcode::GOODBYE]).expect("goodbye");
+    assert_eq!(
+        read_frame(&mut stream).expect("bye"),
+        vec![opcode::GOODBYE_OK]
+    );
+    router.shutdown();
+    for b in backends {
+        b.shutdown();
+    }
+}
+
+/// The router refuses a HELLO offering any version but the one it
+/// speaks: an `ERROR` frame naming the offer, then a close.
+#[test]
+fn router_refuses_other_protocol_versions() {
+    let (backends, router) = single_backend_cluster(&path_labeling(), FrontendOptions::default());
+    for offered in [6u8, 8] {
         let mut stream = TcpStream::connect(router.addr()).expect("connect");
-        write_frame(&mut stream, &encode_hello_version(version)).expect("hello");
-        let hello_ok = read_frame(&mut stream).expect("hello_ok");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        write_frame(
+            &mut stream,
+            &[opcode::HELLO, b'P', b'L', b'S', b'V', offered],
+        )
+        .expect("hello");
+        let reply = read_frame(&mut stream).expect("error frame");
+        assert_eq!(reply.first(), Some(&opcode::ERROR));
         assert_eq!(
-            hello_ok,
-            vec![0x80, version, 0x01, 0x08, 0x00, 0x00, 0x00],
-            "router HELLO_OK drifted on v{version}"
+            String::from_utf8_lossy(&reply[1..]),
+            format!("unsupported protocol version {offered}")
         );
-
-        let queries = [Query::adjacent(0, 1), Query::adjacent(0, 3)];
-        write_frame(&mut stream, &encode_batch(&queries).expect("encode")).expect("batch");
-        let reply = read_frame(&mut stream).expect("reply");
-        let mut golden = vec![0x81, 0x02, 0x00, 0x01, 0x00];
-        if version >= 3 {
-            golden.extend_from_slice(&[0x57, 0x9F, 0x20, 0x3E]); // FNV-1a-32 LE
-        }
-        assert_eq!(reply, golden, "router BATCH_REPLY drifted on v{version}");
-
-        write_frame(&mut stream, &[opcode::GOODBYE]).expect("goodbye");
+        let mut rest = Vec::new();
         assert_eq!(
-            read_frame(&mut stream).expect("bye"),
-            vec![opcode::GOODBYE_OK]
+            stream.read_to_end(&mut rest).expect("orderly close"),
+            0,
+            "router must close after refusing v{offered}"
         );
     }
     router.shutdown();

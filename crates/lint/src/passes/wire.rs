@@ -6,7 +6,7 @@
 //! * `mod opcode` → the opcode namespace, split request/reply by the
 //!   high bit;
 //! * top-level `ANS_*` → the per-query status namespace;
-//! * top-level `VERSION` / `MIN_VERSION` → the version bounds;
+//! * top-level `VERSION` → the protocol version, which must exist;
 //! * `mod trace_dump_flags` → flag bits.
 //!
 //! Checks:
@@ -15,12 +15,11 @@
 //! 2. **high-bit discipline** — request names < `0x80`, replies ≥;
 //! 3. **pairing** — every request has a reply at `0x80 | op`, every
 //!    reply (by value) pairs a request, and the paired names agree on
-//!    their first `_`-token (`BATCH`/`BATCH_REPLY`); historical
-//!    off-convention pairs are `lint.allow` material, not code fixes —
-//!    renumbering shipped wire bytes would break every deployed peer;
+//!    their first `_`-token (`BATCH`/`BATCH_REPLY`); a deliberately
+//!    request-less reply (`ERROR`) is `lint.allow` material;
 //! 4. **doc matrix** — every opcode and status appears, with the same
-//!    value and a sane `vN`, in RELIABILITY.md's "Opcode and status
-//!    matrix" table, and every matrix row names a real constant;
+//!    value, in RELIABILITY.md's "Opcode and status matrix" tables, and
+//!    every matrix row names a real constant;
 //! 5. **no re-declaration** — no other scanned crate declares a `u8`
 //!    constant with one of these names (same value = drift waiting to
 //!    happen, different value = active bug).
@@ -39,12 +38,11 @@ struct Const {
     module: String,
 }
 
-/// One `(name, value, version)` cell parsed from the doc matrix.
+/// One `(name, value)` cell parsed from the doc matrix.
 #[derive(Debug)]
 struct MatrixCell {
     name: String,
     value: u16,
-    version: u8,
     line: usize,
 }
 
@@ -56,7 +54,7 @@ impl Pass for WireInvariants {
     }
 
     fn describe(&self) -> &'static str {
-        "opcode/status/version constants: uniqueness, 0x80|op pairing, doc matrix, no re-declaration"
+        "opcode/status constants: uniqueness, 0x80|op pairing, doc matrix, VERSION present, no re-declaration"
     }
 
     fn run(&self, ws: &Workspace, out: &mut Vec<Diagnostic>) {
@@ -80,39 +78,25 @@ impl Pass for WireInvariants {
             .iter()
             .filter(|c| c.module == "trace_dump_flags")
             .collect();
-        let version = consts
-            .iter()
-            .find(|c| c.module.is_empty() && c.name == "VERSION")
-            .map(|c| c.value);
-        let min_version = consts
-            .iter()
-            .find(|c| c.module.is_empty() && c.name == "MIN_VERSION")
-            .map(|c| c.value);
-
         check_unique(ID, &opcodes, "opcode", out);
         check_unique(ID, &statuses, "status", out);
         check_unique(ID, &flags, "trace-dump flag", out);
         check_pairing(&opcodes, out);
 
-        match (version, min_version) {
-            (Some(v), Some(m)) if m > v => out.push(Diagnostic {
-                file: PROTOCOL.into(),
-                line: 0,
-                pass: ID,
-                key: "version:range".into(),
-                message: format!("MIN_VERSION {m} exceeds VERSION {v}"),
-            }),
-            (None, _) | (_, None) => out.push(Diagnostic {
+        if !consts
+            .iter()
+            .any(|c| c.module.is_empty() && c.name == "VERSION")
+        {
+            out.push(Diagnostic {
                 file: PROTOCOL.into(),
                 line: 0,
                 pass: ID,
                 key: "version:missing".into(),
-                message: "VERSION / MIN_VERSION constants not found".into(),
-            }),
-            _ => {}
+                message: "VERSION constant not found".into(),
+            });
         }
 
-        check_doc_matrix(ws, &opcodes, &statuses, version.unwrap_or(u16::MAX), out);
+        check_doc_matrix(ws, &opcodes, &statuses, out);
         check_redeclaration(ws, &consts, out);
     }
 }
@@ -265,10 +249,9 @@ fn check_pairing(opcodes: &[&Const], out: &mut Vec<Diagnostic>) {
     }
 }
 
-/// Parses RELIABILITY.md's matrix section. A row contributes every
-/// `` `NAME` `` followed (in the same cell run) by a `` `0xNN` `` and
-/// preceded/followed by a `vN` version cell; concretely we scan cells
-/// left-to-right keeping the most recent version seen on the row.
+/// Parses RELIABILITY.md's matrix section. A table row contributes
+/// every `` `NAME` `` cell followed (in the same cell run) by a
+/// `` `0xNN` `` cell.
 fn parse_doc_matrix(text: &str) -> Vec<MatrixCell> {
     let mut cells = Vec::new();
     let mut in_section = false;
@@ -280,18 +263,6 @@ fn parse_doc_matrix(text: &str) -> Vec<MatrixCell> {
         if !in_section || !raw.trim_start().starts_with('|') {
             continue;
         }
-        let mut row_version: Option<u8> = None;
-        // First pass over the row: find the version cell.
-        for cell in raw.split('|') {
-            let c = cell.trim().trim_matches('`');
-            if let Some(v) = c.strip_prefix('v') {
-                if let Ok(n) = v.parse::<u8>() {
-                    row_version = Some(n);
-                }
-            }
-        }
-        let Some(version) = row_version else { continue };
-        // Second pass: (`NAME`, `0xNN`) cell pairs.
         let cols: Vec<&str> = raw.split('|').map(str::trim).collect();
         let mut pending_name: Option<String> = None;
         for col in cols {
@@ -307,7 +278,6 @@ fn parse_doc_matrix(text: &str) -> Vec<MatrixCell> {
                     cells.push(MatrixCell {
                         name,
                         value,
-                        version,
                         line: idx + 1,
                     });
                 }
@@ -321,7 +291,6 @@ fn check_doc_matrix(
     ws: &Workspace,
     opcodes: &[&Const],
     statuses: &[&Const],
-    version: u16,
     out: &mut Vec<Diagnostic>,
 ) {
     let doc = &ws.reliability;
@@ -385,18 +354,6 @@ fn check_doc_matrix(
                 message: format!(
                     "matrix row `{}` ({:#04x}) names no opcode/status constant in {PROTOCOL}",
                     m.name, m.value
-                ),
-            });
-        }
-        if u16::from(m.version) > version {
-            out.push(Diagnostic {
-                file: doc.name.clone(),
-                line: m.line,
-                pass: ID,
-                key: format!("doc-version:{}", m.name),
-                message: format!(
-                    "matrix row `{}` claims v{} but VERSION is {}",
-                    m.name, m.version, version
                 ),
             });
         }

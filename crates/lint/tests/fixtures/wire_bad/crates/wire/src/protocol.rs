@@ -1,7 +1,6 @@
 //! Known-bad protocol constants for the wire-invariants fixture.
 
 pub const VERSION: u8 = 2;
-pub const MIN_VERSION: u8 = 1;
 
 pub mod opcode {
     pub const HELLO: u8 = 0x00;

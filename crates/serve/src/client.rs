@@ -23,14 +23,14 @@ use rand::{Rng, SeedableRng};
 
 use pl_obs::TraceContext;
 
-use crate::metrics::Snapshot;
-use crate::protocol::{
-    encode_batch_ctx, encode_hello_version, encode_labels, encode_map_get, encode_map_set,
+use pl_wire::protocol::{
+    encode_batch_ctx, encode_hello, encode_labels, encode_map_get, encode_map_set,
     encode_trace_dump, opcode, parse_batch_reply, parse_health_reply, parse_hello_ok,
     parse_labels_ok, parse_map_ok, parse_map_reply, parse_stats_reply, read_frame,
     trace_dump_flags, write_frame, Answer, HealthReport, LabelsStatus, MapSetMode, MapSetStatus,
-    Query, MIN_VERSION, VERSION,
+    Query, VERSION,
 };
+use pl_wire::stats::Snapshot;
 
 fn bad_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -40,15 +40,14 @@ fn bad_data(msg: impl Into<String>) -> io::Error {
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    version: u8,
     tag: u8,
     n: u32,
 }
 
 impl Client {
-    /// Connects and performs the HELLO handshake, falling back to older
-    /// protocol versions (down to [`MIN_VERSION`]) if the server
-    /// rejects the current one.
+    /// Connects and performs the HELLO handshake at [`VERSION`]. A
+    /// server that refuses the version fails the connect; there is no
+    /// other version to fall back to.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         Self::connect_deadline(addr, None)
     }
@@ -62,50 +61,16 @@ impl Client {
         addr: impl ToSocketAddrs,
         deadline: Option<Duration>,
     ) -> io::Result<Self> {
-        // Resolve once so version-fallback reconnects hit the same host.
-        let addrs: Vec<_> = addr.to_socket_addrs()?.collect();
-        let mut last_err = bad_data("no addresses resolved");
-        for version in (MIN_VERSION..=VERSION).rev() {
-            match Self::connect_version_deadline(&addrs[..], version, deadline) {
-                Ok(client) => return Ok(client),
-                // Only an explicit rejection means "try an older
-                // version". A transport error (refused, reset, dropped
-                // mid-handshake) must NOT silently downgrade the
-                // session — under fault injection that would trade the
-                // v3 checksum away exactly when it is needed.
-                Err(e) if is_handshake_rejection(&e) => last_err = e,
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err)
-    }
-
-    /// Connects with one specific protocol version, no fallback.
-    pub fn connect_version(addr: impl ToSocketAddrs, version: u8) -> io::Result<Self> {
-        Self::connect_version_deadline(addr, version, None)
-    }
-
-    fn connect_version_deadline(
-        addr: impl ToSocketAddrs,
-        version: u8,
-        deadline: Option<Duration>,
-    ) -> io::Result<Self> {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         stream.set_read_timeout(deadline)?;
         stream.set_write_timeout(deadline)?;
-        write_frame(&mut stream, &encode_hello_version(version))?;
+        write_frame(&mut stream, &encode_hello())?;
         let reply = read_frame(&mut stream)?;
         match reply.first() {
             Some(&opcode::HELLO_OK) => {
-                let (version, tag, n) =
-                    parse_hello_ok(&reply).map_err(|e| bad_data(e.to_string()))?;
-                Ok(Self {
-                    stream,
-                    version,
-                    tag,
-                    n,
-                })
+                let (tag, n) = parse_hello_ok(&reply).map_err(|e| bad_data(e.to_string()))?;
+                Ok(Self { stream, tag, n })
             }
             Some(&opcode::ERROR) => Err(bad_data(format!(
                 "server rejected handshake: {}",
@@ -123,10 +88,10 @@ impl Client {
         self.stream.set_write_timeout(deadline)
     }
 
-    /// Protocol version negotiated with the server.
+    /// The session's protocol version: always [`VERSION`].
     #[must_use]
     pub fn version(&self) -> u8 {
-        self.version
+        VERSION
     }
 
     /// Scheme tag byte the server is serving.
@@ -147,23 +112,21 @@ impl Client {
         self.batch_ctx(queries, None)
     }
 
-    /// [`batch`](Self::batch) with an optional trace context. On a v5+
-    /// session the context rides the `TRACE_CTX` extension so the
-    /// server's spans parent to the caller; on an older session it is
-    /// silently dropped — downgrade loses tracing, never the batch.
+    /// [`batch`](Self::batch) with an optional trace context. The
+    /// context rides the `TRACE_CTX` extension so the server's spans
+    /// parent to the caller.
     pub fn batch_ctx(
         &mut self,
         queries: &[Query],
         ctx: Option<&TraceContext>,
     ) -> io::Result<Vec<Answer>> {
-        let body =
-            encode_batch_ctx(queries, ctx, self.version).map_err(|e| bad_data(e.to_string()))?;
+        let body = encode_batch_ctx(queries, ctx, VERSION).map_err(|e| bad_data(e.to_string()))?;
         write_frame(&mut self.stream, &body)?;
         let reply = read_frame(&mut self.stream)?;
         match reply.first() {
             Some(&opcode::BATCH_REPLY) => {
                 let answers =
-                    parse_batch_reply(&reply, self.version).map_err(|e| bad_data(e.to_string()))?;
+                    parse_batch_reply(&reply, VERSION).map_err(|e| bad_data(e.to_string()))?;
                 if answers.len() != queries.len() {
                     return Err(bad_data("reply count mismatch"));
                 }
@@ -202,12 +165,8 @@ impl Client {
         parse_stats_reply(&reply).map_err(|e| bad_data(e.to_string()))
     }
 
-    /// Fetches the server's shard-liveness report. Requires protocol
-    /// version ≥ 3.
+    /// Fetches the server's shard-liveness report.
     pub fn health(&mut self) -> io::Result<HealthReport> {
-        if self.version < 3 {
-            return Err(bad_data("server too old for HEALTH (needs v3)"));
-        }
         write_frame(&mut self.stream, &[opcode::HEALTH])?;
         let reply = read_frame(&mut self.stream)?;
         match reply.first() {
@@ -223,27 +182,20 @@ impl Client {
     }
 
     /// Drains the server's trace ring buffers as JSONL (one event per
-    /// line, possibly empty). Requires protocol version ≥ 2.
+    /// line, possibly empty).
     pub fn trace_dump(&mut self) -> io::Result<String> {
         self.trace_dump_with(0)
     }
 
     /// Non-consuming [`trace_dump`](Self::trace_dump): the server's
     /// reader watermark stays put, so concurrent observers each see the
-    /// full stream. Requires protocol version ≥ 5.
+    /// full stream.
     pub fn trace_snapshot(&mut self) -> io::Result<String> {
         self.trace_dump_with(trace_dump_flags::SNAPSHOT)
     }
 
-    /// `TRACE_DUMP` with explicit flag bits (0 = the pre-v5 consuming
-    /// drain; flags require a v5 session).
+    /// `TRACE_DUMP` with explicit flag bits (0 = the consuming drain).
     pub fn trace_dump_with(&mut self, flags: u8) -> io::Result<String> {
-        if self.version < 2 {
-            return Err(bad_data("server too old for TRACE_DUMP (needs v2)"));
-        }
-        if flags != 0 && self.version < 5 {
-            return Err(bad_data("server too old for TRACE_DUMP flags (needs v5)"));
-        }
         write_frame(&mut self.stream, &encode_trace_dump(flags))?;
         let reply = read_frame(&mut self.stream)?;
         match reply.first() {
@@ -258,11 +210,8 @@ impl Client {
     }
 
     /// Fetches the peer's current serialized cluster map (`None` when
-    /// it serves no map yet). Requires protocol version ≥ 6.
+    /// it serves no map yet).
     pub fn map_get(&mut self) -> io::Result<Option<Vec<u8>>> {
-        if self.version < 6 {
-            return Err(bad_data("server too old for MAP_GET (needs v6)"));
-        }
         write_frame(&mut self.stream, &encode_map_get())?;
         let reply = read_frame(&mut self.stream)?;
         match reply.first() {
@@ -280,8 +229,8 @@ impl Client {
     /// Pushes a map-state transition (`prepare`/`commit`/`abort`/
     /// `shrink`) and returns the peer's verdict plus its current epoch.
     /// `backend` is the receiver's index in the pushed map (or
-    /// [`crate::protocol::MAP_TARGET_ROUTER`]); `moved` is only
-    /// meaningful on a router commit. Requires protocol version ≥ 6.
+    /// [`pl_wire::protocol::MAP_TARGET_ROUTER`]); `moved` is only
+    /// meaningful on a router commit.
     pub fn map_set(
         &mut self,
         mode: MapSetMode,
@@ -289,9 +238,6 @@ impl Client {
         moved: u64,
         map: &[u8],
     ) -> io::Result<(MapSetStatus, u64)> {
-        if self.version < 6 {
-            return Err(bad_data("server too old for MAP_SET (needs v6)"));
-        }
         let body =
             encode_map_set(mode, backend, moved, map).map_err(|e| bad_data(e.to_string()))?;
         write_frame(&mut self.stream, &body)?;
@@ -308,15 +254,11 @@ impl Client {
 
     /// Streams one frame of migrating labels for the staged epoch and
     /// returns the peer's verdict plus its buffered-label count.
-    /// Requires protocol version ≥ 6.
     pub fn push_labels(
         &mut self,
         epoch: u64,
         entries: &[(u32, &[u8])],
     ) -> io::Result<(LabelsStatus, u32)> {
-        if self.version < 6 {
-            return Err(bad_data("server too old for LABELS (needs v6)"));
-        }
         let body = encode_labels(epoch, entries).map_err(|e| bad_data(e.to_string()))?;
         write_frame(&mut self.stream, &body)?;
         let reply = read_frame(&mut self.stream)?;
@@ -349,13 +291,6 @@ impl Client {
         write_frame(&mut self.stream, body)?;
         read_frame(&mut self.stream)
     }
-}
-
-/// `true` when the error is the server explicitly refusing the offered
-/// protocol version — the only failure that justifies retrying the
-/// handshake at an older version.
-fn is_handshake_rejection(e: &io::Error) -> bool {
-    e.kind() == io::ErrorKind::InvalidData && e.to_string().contains("rejected handshake")
 }
 
 /// Why a retryable request failed — attached to
@@ -415,7 +350,7 @@ impl ClientError {
                         kind: RetryKind::Overloaded,
                         source: e,
                     }
-                } else if msg.contains("rejected handshake") || msg.contains("too old") {
+                } else if msg.contains("rejected handshake") {
                     Self::Fatal(e)
                 } else {
                     // Checksum mismatches, short frames, garbled
@@ -559,11 +494,6 @@ impl ResilientClient {
         self.with_retries(|c| Ok(c.n()))
     }
 
-    /// Negotiated protocol version of the current connection.
-    pub fn version(&mut self) -> Result<u8, ClientError> {
-        self.with_retries(|c| Ok(c.version()))
-    }
-
     /// Sends one batch, replaying on transient failures. Transport
     /// errors replay the whole batch (inside [`with_retries`]); an
     /// [`Answer::Overloaded`] in an otherwise healthy reply re-asks
@@ -640,7 +570,7 @@ impl ResilientClient {
         self.with_retries(Client::stats)
     }
 
-    /// Fetches the shard-liveness report with retries (needs v3).
+    /// Fetches the shard-liveness report with retries.
     pub fn health(&mut self) -> Result<HealthReport, ClientError> {
         self.with_retries(Client::health)
     }

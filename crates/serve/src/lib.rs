@@ -9,17 +9,11 @@
 //!   immutable labels mean lock-free reads, and each shard keeps a small
 //!   LRU of decoded fat-label bitmaps (the hubs — exactly the vertices a
 //!   power-law workload hammers).
-//! * [`protocol`] — re-export shim over [`pl_wire::protocol`], the
-//!   length-prefixed binary wire format: versioned handshake, batched
-//!   adjacency/distance queries, stats, orderly goodbye. All parsers
-//!   are total on untrusted bytes.
 //! * [`server`] — the shared hardened [`pl_wire::frontend`] TCP
 //!   front-end (thread-per-connection, shedding, deadlines, graceful
 //!   drain) over a [`server::StoreEngine`] answering batches
-//!   shard-grouped.
-//! * [`metrics`] — re-export shim over [`pl_wire::stats`]:
-//!   [`pl_obs`]-backed counters and power-of-two latency histograms in
-//!   a per-server [`pl_obs::MetricsRegistry`], snapshotted on demand
+//!   shard-grouped. Its [`pl_wire::stats`] counters live in a
+//!   per-server [`pl_obs::MetricsRegistry`], snapshotted on demand
 //!   (`STATS`) and at shutdown, and renderable as Prometheus text via
 //!   [`ServerHandle::prometheus_text`].
 //! * [`client`] — blocking client plus a multi-connection load
@@ -29,39 +23,33 @@
 //!   taxonomy.
 //! * [`map`] / [`partition`] — the epoch-numbered, FNV-checksummed
 //!   [`ClusterMap`] and the deterministic HRW [`Partitioner`]. They
-//!   moved here from `pl-cluster` for protocol v6 live
+//!   live here rather than in `pl-cluster` for live
 //!   reconfiguration: a backend receiving a `MAP_SET` push validates
 //!   the map and computes its own ownership locally
 //!   (`pl_cluster::{map, partition}` re-export them unchanged).
-//! * [`fault`] — re-export shim over [`pl_wire::fault`], the
-//!   deterministic fault-injection harness ([`FaultPlan`]): seeded
-//!   per-connection delays, drops, truncations, byte flips, and
-//!   simulated store errors, for chaos testing the whole request path
-//!   (see RELIABILITY.md).
-//! * [`format`] — thin re-exports of the codec layer
-//!   ([`pl_labeling::codec`]): the scheme tag, tagged container, and
-//!   decoder dispatch now live with the labels, not the server.
+//!
+//! The wire protocol, its stats payload and the fault-injection harness
+//! live in [`pl_wire`]; the scheme tag and tagged container in
+//! [`pl_labeling::codec`]. The crate root re-exports the names a
+//! serving caller needs ([`Query`], [`Answer`], [`Snapshot`],
+//! [`FaultPlan`], [`SchemeTag`], [`TaggedLabeling`], ...) from there.
 //!
 //! Everything is std-only: no async runtime, no serialization crates.
 
 pub mod cache;
 pub mod client;
-pub mod fault;
-pub mod format;
 pub mod map;
-pub mod metrics;
 pub mod partition;
-pub mod protocol;
 pub mod server;
 pub mod store;
 
 pub use client::loadgen::{LoadReport, LoadgenConfig, Skew};
 pub use client::{Client, ClientError, ResilientClient, RetryKind, RetryPolicy};
-pub use fault::{FaultKind, FaultPlan};
-pub use format::{SchemeTag, TaggedLabeling};
 pub use map::{ClusterMap, MapError};
-pub use metrics::Snapshot;
 pub use partition::Partitioner;
-pub use protocol::{Answer, HealthReport, Query, QueryKind};
+pub use pl_labeling::codec::{SchemeTag, TaggedLabeling};
+pub use pl_wire::fault::{FaultKind, FaultPlan};
+pub use pl_wire::protocol::{Answer, HealthReport, Query, QueryKind};
+pub use pl_wire::stats::Snapshot;
 pub use server::{serve, serve_with, ServeOptions, ServerHandle, StoreEngine};
 pub use store::{BatchOutcome, LabelStore, QueryPath, StoreConfig, StoreError};

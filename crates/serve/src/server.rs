@@ -2,7 +2,7 @@
 //! [`LabelStore`] engine.
 //!
 //! Since PR 6 the transport — accept loop, per-connection lifecycle,
-//! HELLO negotiation, `--max-conns` shedding, idle/stall deadlines,
+//! HELLO version check, `--max-conns` shedding, idle/stall deadlines,
 //! drain-on-shutdown, and fault injection — lives in
 //! [`pl_wire::frontend`] and is shared with the `pl-cluster` router.
 //! This module supplies only the engine: [`StoreEngine`] implements
@@ -24,14 +24,14 @@
 //!   nothing for too long; [`ServeOptions::stall_timeout`] bounds both a
 //!   peer that stalls mid-frame and a peer that stops reading its
 //!   replies (it doubles as the socket write timeout).
-//! - Finished connection threads are reaped every accept-loop pass, so
-//!   the handle vector stays bounded by the number of *live*
-//!   connections ([`ServerHandle::conn_handle_count`]).
+//! - Finished connection threads are reaped at each accept, so the
+//!   handle vector stays bounded by the number of *live* connections
+//!   ([`ServerHandle::conn_handle_count`]).
 //! - A [`FaultPlan`] ([`ServeOptions::fault_plan`]) turns on the
-//!   deterministic fault-injection harness of [`crate::fault`] for
+//!   deterministic fault-injection harness of [`pl_wire::fault`] for
 //!   chaos testing: injected read/write delays, dropped and truncated
-//!   reply frames, flipped reply bytes (protocol v3 checksums catch
-//!   them), and simulated shard-store errors.
+//!   reply frames, flipped reply bytes (reply checksums catch them),
+//!   and simulated shard-store errors.
 //!
 //! ## Observability
 //!
@@ -56,16 +56,17 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 use pl_labeling::bits::BitWriter;
+use pl_labeling::codec::{SchemeTag, TaggedLabeling};
 use pl_labeling::{Label, LabelingBuilder};
 use pl_obs::MetricsRegistry;
+use pl_wire::fault::FaultPlan;
 use pl_wire::frontend::{self, FrontStats, FrontendHandle, FrontendOptions, QueryEngine};
-use pl_wire::protocol::{LabelsStatus, MapSetMode, MapSetRequest, MapSetStatus};
+use pl_wire::protocol::{
+    Answer, LabelsStatus, MapSetMode, MapSetRequest, MapSetStatus, Query, QueryKind,
+};
+use pl_wire::stats::{Metrics, Snapshot};
 
-use crate::fault::FaultPlan;
-use crate::format::{SchemeTag, TaggedLabeling};
 use crate::map::ClusterMap;
-use crate::metrics::{Metrics, Snapshot};
-use crate::protocol::{Answer, Query, QueryKind};
 use crate::store::{BatchOutcome, LabelStore, StoreError};
 
 /// Server tuning knobs beyond the store itself.
@@ -94,16 +95,12 @@ pub struct ServeOptions {
     /// timeout for a peer that stops reading replies
     /// (`plserve_deadline_closes_total`). `None` disables both.
     pub stall_timeout: Option<Duration>,
-    /// Highest protocol version this server will negotiate; `None`
-    /// means the build's newest. Used by downgrade tests to stand in
-    /// for an older server binary.
-    pub max_version: Option<u8>,
 }
 
 /// [`LabelStore`] as a [`QueryEngine`]: answers batches shard-grouped,
 /// records per-query latency and the slow-query log.
 ///
-/// Since protocol v6 the store is *swappable*: a `MAP_SET` push stages
+/// The store is *swappable*: a `MAP_SET` push stages
 /// an epoch-bumped [`ClusterMap`], `LABELS` pushes buffer re-owned
 /// vertices' full labels (verified byte-identical on arrival), and the
 /// commit rebuilds a replacement store off the serving path and swaps
@@ -119,7 +116,7 @@ pub struct StoreEngine {
     /// families are get-or-create, so a swap reuses the existing
     /// counters rather than forking them.
     registry: Arc<MetricsRegistry>,
-    /// The v6 map-install state machine.
+    /// The map-install state machine.
     reconfig: Mutex<ReconfigState>,
 }
 
@@ -602,7 +599,6 @@ pub fn serve_with(
             fault_plan: options.fault_plan,
             idle_timeout: options.idle_timeout,
             stall_timeout: options.stall_timeout,
-            max_version: options.max_version,
         },
     )?;
     Ok(ServerHandle { front, registry })

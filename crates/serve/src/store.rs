@@ -44,6 +44,7 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use pl_labeling::codec::{decode_adjacent, decode_distance, SchemeTag, TaggedLabeling};
 use pl_labeling::scheme::AdjacencyDecoder;
 use pl_labeling::threshold::ThresholdDecoder;
 use pl_labeling::LabelRef;
@@ -51,7 +52,6 @@ use pl_obs::registry::Counter;
 use pl_obs::MetricsRegistry;
 
 use crate::cache::LruCache;
-use crate::format::{decode_adjacent, decode_distance, SchemeTag, TaggedLabeling};
 
 /// Store sizing knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

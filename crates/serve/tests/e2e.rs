@@ -1,17 +1,20 @@
 //! End-to-end acceptance tests: a real server on a real TCP socket,
 //! driven by the load generator and raw protocol clients.
 
-use std::net::TcpStream;
+use std::io::Read;
+use std::net::{TcpListener, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use pl_graph::degree::vertices_by_degree_desc;
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
-use pl_serve::protocol::{
-    encode_batch, encode_hello, opcode, parse_batch_reply, read_frame, write_frame, Query,
+use pl_serve::{Client, ClientError, LabelStore, SchemeTag, StoreConfig, TaggedLabeling};
+use pl_wire::protocol::{
+    encode_batch, encode_hello, opcode, parse_batch_reply, read_frame, write_frame, Query, VERSION,
 };
-use pl_serve::{Client, LabelStore, SchemeTag, StoreConfig, TaggedLabeling};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -116,8 +119,7 @@ fn shutdown_drains_in_flight_requests() {
     );
 
     let reply = read_frame(&mut stream).expect("reply survives shutdown");
-    let answers =
-        parse_batch_reply(&reply, pl_serve::protocol::VERSION).expect("well-formed reply");
+    let answers = parse_batch_reply(&reply, VERSION).expect("well-formed reply");
     assert_eq!(answers.len(), 500, "no response may be dropped");
 }
 
@@ -336,9 +338,8 @@ fn observability_surface_end_to_end() {
     loadgen::run(handle.addr(), &config).expect("load run");
 
     let mut client = Client::connect(handle.addr()).expect("connect");
-    assert_eq!(client.version(), pl_serve::protocol::VERSION);
 
-    // v2 snapshot: extended quantiles and per-shard cache provenance.
+    // Quantiles and per-shard cache provenance.
     let stats = client.stats().expect("stats");
     assert_eq!(stats.adj_queries, 2_000);
     assert_eq!(stats.shard_cache.len(), 4, "{stats}");
@@ -383,30 +384,84 @@ fn observability_surface_end_to_end() {
     handle.shutdown();
 }
 
-/// A v1 client still interoperates with the v2 server: the handshake
-/// negotiates down and the STATS reply arrives in the legacy 12-field
-/// layout (no extended quantiles, no shard breakdown).
+/// A HELLO offering any version but the one the server speaks gets an
+/// `ERROR` frame naming the offer, and the connection closes.
 #[test]
-fn v1_client_negotiates_and_parses_legacy_stats() {
+fn hello_offering_another_version_gets_error_and_close() {
     let g = chung_lu(500, 21);
     let store = threshold_store(&g, 8, StoreConfig::default());
     let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
 
-    let mut client = Client::connect_version(handle.addr(), 1).expect("v1 connect");
-    assert_eq!(client.version(), 1);
-    let (u, v) = g.edges().next().expect("graph has edges");
-    assert!(client.adjacent(u, v).expect("query"));
+    for offered in [6u8, 8] {
+        let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("read timeout");
+        write_frame(
+            &mut stream,
+            &[opcode::HELLO, b'P', b'L', b'S', b'V', offered],
+        )
+        .expect("hello");
+        let reply = read_frame(&mut stream).expect("error frame");
+        assert_eq!(reply.first(), Some(&opcode::ERROR));
+        assert_eq!(
+            String::from_utf8_lossy(&reply[1..]),
+            format!("unsupported protocol version {offered}")
+        );
+        let mut rest = Vec::new();
+        assert_eq!(
+            stream.read_to_end(&mut rest).expect("orderly close"),
+            0,
+            "server must close after refusing v{offered}"
+        );
+    }
+    let stats = handle.shutdown();
+    assert_eq!(stats.protocol_errors, 2, "{stats}");
+}
 
-    let stats = client.stats().expect("v1 stats");
-    assert_eq!(stats.adj_queries, 1);
+/// Against a server that refuses the client's version, `Client::connect`
+/// fails after one attempt: there is no older version to retry at, and
+/// the refusal is fatal to a retrying client.
+#[test]
+fn connect_fails_in_one_attempt_against_a_refusing_server() {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("addr");
+    let attempts = Arc::new(AtomicUsize::new(0));
+    let server = {
+        let attempts = Arc::clone(&attempts);
+        std::thread::spawn(move || {
+            // Refuses every HELLO, one connection at a time, until an
+            // empty frame says stop.
+            for stream in listener.incoming() {
+                let mut stream = stream.expect("accept");
+                let hello = read_frame(&mut stream).expect("hello");
+                if hello.is_empty() {
+                    break;
+                }
+                attempts.fetch_add(1, Ordering::SeqCst);
+                let mut reply = vec![opcode::ERROR];
+                reply.extend_from_slice(
+                    format!("unsupported protocol version {VERSION}").as_bytes(),
+                );
+                write_frame(&mut stream, &reply).expect("error frame");
+            }
+        })
+    };
+
+    let err = Client::connect(addr).expect_err("a refused handshake fails the connect");
     assert!(
-        stats.shard_cache.is_empty(),
-        "v1 layout carries no shard breakdown"
+        err.to_string()
+            .contains(&format!("unsupported protocol version {VERSION}")),
+        "{err}"
     );
-    assert!(
-        client.trace_dump().is_err(),
-        "TRACE_DUMP must be refused client-side on a v1 session"
+    assert!(matches!(ClientError::classify(err), ClientError::Fatal(_)));
+
+    let mut stop = TcpStream::connect(addr).expect("connect");
+    write_frame(&mut stop, &[]).expect("stop frame");
+    server.join().expect("refusing server");
+    assert_eq!(
+        attempts.load(Ordering::SeqCst),
+        1,
+        "connect must not retry at other versions"
     );
-    client.goodbye().expect("goodbye");
-    handle.shutdown();
 }

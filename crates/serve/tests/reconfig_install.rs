@@ -1,4 +1,4 @@
-//! Backend-side protocol v6 map-install state machine: epoch fencing
+//! Backend-side map-install state machine: epoch fencing
 //! (stale/equal pushes refused), label verification on arrival,
 //! commit-swap, abort, shrink, and wire-level rejection of a
 //! checksum-tampered map push.
@@ -7,11 +7,11 @@ use std::sync::Arc;
 
 use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
-use pl_serve::protocol::{opcode, LabelsStatus, MapSetMode, MapSetStatus};
 use pl_serve::{
     serve_with, Answer, Client, ClusterMap, LabelStore, Query, SchemeTag, ServeOptions,
     StoreConfig, TaggedLabeling,
 };
+use pl_wire::protocol::{opcode, LabelsStatus, MapSetMode, MapSetStatus};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

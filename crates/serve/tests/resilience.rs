@@ -11,11 +11,11 @@ use pl_labeling::scheme::AdjacencyScheme;
 use pl_labeling::ThresholdScheme;
 use pl_serve::client::loadgen::{self, LoadgenConfig, Skew};
 use pl_serve::client::{ClientError, RetryKind};
-use pl_serve::protocol::{encode_hello, opcode, read_frame, write_frame};
 use pl_serve::{
     Client, FaultPlan, LabelStore, ResilientClient, RetryPolicy, SchemeTag, ServeOptions,
     StoreConfig, TaggedLabeling,
 };
+use pl_wire::protocol::{encode_hello, opcode, read_frame, write_frame};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -347,10 +347,9 @@ fn stalled_mid_frame_peer_is_deadline_closed() {
     assert_eq!(final_stats.open_conns, 0, "{final_stats}");
 }
 
-/// HEALTH over the wire: a v3 session gets per-shard liveness; a v2
-/// session is refused (the opcode is version-gated).
+/// HEALTH over the wire: per-shard liveness.
 #[test]
-fn health_reports_shard_liveness_and_is_version_gated() {
+fn health_reports_shard_liveness() {
     let g = chung_lu(500, 13);
     let store = threshold_store(
         &g,
@@ -362,20 +361,15 @@ fn health_reports_shard_liveness_and_is_version_gated() {
     );
     let handle = pl_serve::serve(store, "127.0.0.1:0").expect("bind");
 
-    let mut v3 = Client::connect(handle.addr()).expect("v3 connect");
-    assert_eq!(v3.version(), pl_serve::protocol::VERSION);
-    assert!(v3.version() >= 3, "HEALTH needs a v3+ session");
-    let report = v3.health().expect("health");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let report = client.health().expect("health");
     assert!(report.healthy);
     assert_eq!(report.shards, vec![true, true, true]);
-    v3.goodbye().expect("goodbye");
-
-    // A v2 session asking for HEALTH gets an ERROR frame from the
-    // server; the client-side convenience method refuses even earlier.
-    let mut v2 = Client::connect_version(handle.addr(), 2).expect("v2 connect");
-    assert!(v2.health().is_err(), "client-side version gate");
-    let reply = v2.raw_round_trip(&[opcode::HEALTH]).expect("raw health");
-    assert_eq!(reply.first(), Some(&opcode::ERROR));
+    let reply = client
+        .raw_round_trip(&[opcode::HEALTH])
+        .expect("raw health");
+    assert_eq!(reply, [opcode::HEALTH_REPLY, 1, 3, 0, 1, 1, 1]);
+    client.goodbye().expect("goodbye");
 
     handle.shutdown();
 }

@@ -2,7 +2,7 @@
 //! [`QueryEngine`].
 //!
 //! One implementation of accept loop, per-connection lifecycle, HELLO
-//! negotiation, shedding, deadlines, drain-on-shutdown, and fault
+//! version check, shedding, deadlines, drain-on-shutdown, and fault
 //! injection serves both the single-node server (`pl_serve::server`)
 //! and the cluster router (`pl_cluster::route`): each supplies only an
 //! engine answering batches and reporting stats/health. The front-end
@@ -22,16 +22,16 @@
 //!   window for bytes still in flight before closing.
 //! - **Fault injection**: a [`FaultPlan`] drives the deterministic
 //!   harness of [`crate::fault`] — read/write delays, dropped and
-//!   truncated reply frames, flipped `BATCH_REPLY` bytes (v3 checksums
-//!   catch them), and per-query simulated store errors rolled *ahead*
-//!   of engine dispatch.
+//!   truncated reply frames, flipped `BATCH_REPLY` bytes (reply
+//!   checksums catch them), and per-query simulated store errors rolled
+//!   *ahead* of engine dispatch.
 //!
 //! Per-connection reply encoding and frame reassembly reuse scratch
 //! buffers, and frames go out through a vectored header+body write, so
 //! the steady-state reply path performs no per-frame allocation.
 
 use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,8 +48,17 @@ use crate::protocol::{
 };
 use crate::stats::{Metrics, Snapshot};
 
-/// Poll interval for the accept loop and connection read timeout.
+/// Connection read timeout: how often a quiet connection re-checks
+/// shutdown and its idle/stall deadlines.
 const POLL: Duration = Duration::from_millis(20);
+
+/// Pause after a failed `accept()` (e.g. `EMFILE`), so a persistent
+/// error cannot spin the accept thread.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Bound on the loopback self-connect that wakes the blocked accept at
+/// shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// After shutdown is signalled, a connection closes once it has seen no
 /// new bytes for this long — frames already on the wire still get served.
@@ -89,10 +98,9 @@ pub trait QueryEngine: Send + Sync + 'static {
 
     /// JSONL trace payload for TRACE_DUMP replies; the front-end
     /// truncates it to the frame cap at a line boundary, keeping the
-    /// newest lines. `snapshot`
-    /// selects the non-consuming read (v5 `TRACE_DUMP` flag). A router
-    /// merges downstream backend rings here, which may use the
-    /// session's pooled connections.
+    /// newest lines. `snapshot` selects the non-consuming read (the
+    /// `TRACE_DUMP` snapshot flag). A router merges downstream backend
+    /// rings here, which may use the session's pooled connections.
     fn trace_jsonl(&self, session: &mut Self::Session, snapshot: bool) -> String {
         let _ = session;
         if snapshot {
@@ -102,7 +110,7 @@ pub trait QueryEngine: Send + Sync + 'static {
         }
     }
 
-    /// The engine's current serialized cluster map, answering a v6
+    /// The engine's current serialized cluster map, answering a
     /// `MAP_GET`. Engines that serve no cluster map (a standalone
     /// backend before any map push, or a plain single-node server)
     /// return `None`, which the front-end encodes as an empty
@@ -112,7 +120,7 @@ pub trait QueryEngine: Send + Sync + 'static {
         None
     }
 
-    /// Applies a v6 `MAP_SET` push (prepare/commit/abort/shrink an
+    /// Applies a `MAP_SET` push (prepare/commit/abort/shrink an
     /// epoch-bumped cluster map) and returns the verdict plus the
     /// engine's current epoch afterwards. The blob arrives already
     /// structurally validated (magic + self-checksum); semantic
@@ -123,7 +131,7 @@ pub trait QueryEngine: Send + Sync + 'static {
         (MapSetStatus::Unsupported, 0)
     }
 
-    /// Buffers a v6 `LABELS` migration push for the staged epoch and
+    /// Buffers a `LABELS` migration push for the staged epoch and
     /// returns the verdict plus the labels accepted so far this epoch.
     /// The frame checksum has already been verified; per-label
     /// byte-identity verification is the engine's. The default refuses.
@@ -181,12 +189,6 @@ pub struct FrontendOptions {
     /// timeout for a peer that stops reading replies
     /// (`plserve_deadline_closes_total`). `None` disables both.
     pub stall_timeout: Option<Duration>,
-    /// Highest protocol version this front-end will negotiate; `None`
-    /// means the build's newest ([`VERSION`]). Capping below a client's
-    /// offer makes the handshake reject it, driving the client's
-    /// version-fallback loop — how the downgrade path is tested without
-    /// an old binary.
-    pub max_version: Option<u8>,
 }
 
 /// Everything a connection thread needs, behind one `Arc`.
@@ -196,8 +198,6 @@ struct FrontShared<E: QueryEngine> {
     registry: Arc<MetricsRegistry>,
     /// Connection cap; `usize::MAX` disables.
     max_conns: usize,
-    /// Highest negotiable protocol version.
-    max_version: u8,
     fault_plan: Option<FaultPlan>,
     idle_timeout: Option<Duration>,
     stall_timeout: Option<Duration>,
@@ -262,9 +262,10 @@ impl<E: QueryEngine> FrontendHandle<E> {
     }
 
     /// Join handles the accept loop is currently holding. Finished
-    /// handles are reaped every loop pass, so this stays bounded by the
-    /// live-connection count (plus at most one poll interval of lag)
-    /// rather than growing with every connection ever accepted.
+    /// handles are reaped at each accept, so this stays bounded by the
+    /// live-connection count at the most recent accept (plus the one
+    /// just accepted) rather than growing with every connection ever
+    /// accepted.
     #[must_use]
     pub fn conn_handle_count(&self) -> usize {
         self.shared.conn_handles.load(Ordering::SeqCst)
@@ -280,10 +281,23 @@ impl<E: QueryEngine> FrontendHandle<E> {
     /// returns the final engine snapshot.
     pub fn shutdown(mut self) -> Snapshot {
         self.shared.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop blocks in `accept()`; one self-connect wakes
+        // it to see the flag.
+        let _ = TcpStream::connect_timeout(&wake_addr(self.addr), WAKE_TIMEOUT);
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
         self.snapshot()
+    }
+}
+
+/// Where a self-connect reaches a listener bound to `addr`: the address
+/// itself, or loopback of the same family when it is unspecified.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => (Ipv4Addr::LOCALHOST, addr.port()).into(),
+        IpAddr::V6(ip) if ip.is_unspecified() => (Ipv6Addr::LOCALHOST, addr.port()).into(),
+        _ => addr,
     }
 }
 
@@ -295,7 +309,6 @@ pub fn bind<E: QueryEngine>(
     options: FrontendOptions,
 ) -> std::io::Result<FrontendHandle<E>> {
     let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let registry = options
         .registry
@@ -309,7 +322,6 @@ pub fn bind<E: QueryEngine>(
         },
         registry,
         max_conns: options.max_conns.unwrap_or(usize::MAX),
-        max_version: options.max_version.unwrap_or(VERSION).min(VERSION),
         fault_plan: options.fault_plan.filter(FaultPlan::is_active),
         idle_timeout: options.idle_timeout,
         stall_timeout: options.stall_timeout,
@@ -331,41 +343,46 @@ pub fn bind<E: QueryEngine>(
 
 fn accept_loop<E: QueryEngine>(listener: &TcpListener, shared: &Arc<FrontShared<E>>) {
     let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        // Reap finished connection threads every pass — not only when
-        // accepts are quiet — so the handle vector tracks live
-        // connections instead of every connection ever accepted.
+    loop {
+        let accepted = listener.accept();
+        // Reap finished connection threads at every accept, so the
+        // handle vector tracks live connections instead of every
+        // connection ever accepted.
         conns.retain(|c| !c.is_finished());
         shared.conn_handles.store(conns.len(), Ordering::SeqCst);
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                // The cap is checked (and the slot claimed) here in the
-                // accept loop, not in the connection thread, so two
-                // racing accepts cannot both squeeze past the limit.
-                if shared.live_conns.load(Ordering::SeqCst) >= shared.max_conns {
-                    shared.stats.metrics.shed.inc();
-                    pl_obs::event!("serve.shed");
-                    // Best effort: tell the peer why before closing.
-                    let _ = write_frame_vectored(&mut stream, &[opcode::OVERLOADED]);
-                    continue;
-                }
-                shared.live_conns.fetch_add(1, Ordering::SeqCst);
-                shared.stats.metrics.open_conns.add(1);
-                shared.stats.metrics.connections.inc();
-                pl_obs::event!("serve.accept");
-                let conn_id = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(shared);
-                conns.push(std::thread::spawn(move || {
-                    let _guard = ConnGuard(&conn_shared);
-                    // Per-connection I/O errors just end that connection.
-                    let _ = serve_connection(stream, &conn_shared, conn_id);
-                }));
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(POLL);
-            }
-            Err(_) => std::thread::sleep(POLL),
+        if shared.shutdown.load(Ordering::SeqCst) {
+            // The shutdown wake (or a peer racing it): closed unserved.
+            break;
         }
+        let mut stream = match accepted {
+            Ok((stream, _)) => stream,
+            Err(_) => {
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
+        // The cap is checked (and the slot claimed) here in the accept
+        // loop, not in the connection thread, so two racing accepts
+        // cannot both squeeze past the limit.
+        if shared.live_conns.load(Ordering::SeqCst) >= shared.max_conns {
+            shared.stats.metrics.shed.inc();
+            pl_obs::event!("serve.shed");
+            // Best effort: tell the peer why before closing.
+            let _ = write_frame_vectored(&mut stream, &[opcode::OVERLOADED]);
+            continue;
+        }
+        shared.live_conns.fetch_add(1, Ordering::SeqCst);
+        shared.stats.metrics.open_conns.add(1);
+        shared.stats.metrics.connections.inc();
+        pl_obs::event!("serve.accept");
+        let conn_id = shared.conn_seq.fetch_add(1, Ordering::SeqCst);
+        let conn_shared = Arc::clone(shared);
+        conns.push(std::thread::spawn(move || {
+            let _guard = ConnGuard(&conn_shared);
+            // Per-connection I/O errors just end that connection.
+            let _ = serve_connection(stream, &conn_shared, conn_id);
+        }));
+        shared.conn_handles.store(conns.len(), Ordering::SeqCst);
     }
     for c in conns {
         let _ = c.join();
@@ -379,8 +396,8 @@ struct Conn<'a, E: QueryEngine> {
     shared: &'a FrontShared<E>,
     session: E::Session,
     injector: Option<FaultInjector>,
-    /// Negotiated protocol version; `None` until the handshake.
-    version: Option<u8>,
+    /// Whether the HELLO handshake has completed.
+    handshaken: bool,
     /// Reply-encoding scratch, reused across frames.
     reply: Vec<u8>,
     /// Answer scratch, reused across batches.
@@ -402,7 +419,7 @@ fn serve_connection<E: QueryEngine>(
             .fault_plan
             .as_ref()
             .map(|plan| FaultInjector::new(plan, conn_id)),
-        version: None,
+        handshaken: false,
         reply: Vec::new(),
         answers: Vec::new(),
     };
@@ -481,43 +498,29 @@ impl<E: QueryEngine> Conn<'_, E> {
     /// close.
     fn process_frame(&mut self, body: &[u8], stream: &mut TcpStream) -> std::io::Result<bool> {
         let op = body.first().copied();
-        let Some(version) = self.version else {
-            return match op {
-                Some(opcode::HELLO) => match parse_hello(body) {
-                    Ok(v) if v > self.shared.max_version => {
-                        // Version-capped front-end (downgrade testing):
-                        // reject so the client's fallback loop re-offers
-                        // an older version.
-                        self.shared.stats.metrics.protocol_errors.inc();
-                        self.send_error(stream, &format!("unsupported protocol version {v}"))?;
-                        Ok(false)
-                    }
-                    Ok(v) => {
-                        self.version = Some(v);
-                        encode_hello_ok_into(
-                            v,
-                            self.shared.engine.scheme_tag(),
-                            self.shared.engine.n(),
-                            &mut self.reply,
-                        );
-                        send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
-                        Ok(true)
-                    }
-                    Err(e) => {
-                        self.shared.stats.metrics.protocol_errors.inc();
-                        self.send_error(stream, &e.to_string())?;
-                        Ok(false)
-                    }
-                },
-                _ => {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "expected HELLO")?;
-                    Ok(false)
-                }
-            };
-        };
+        if !self.handshaken {
+            if op != Some(opcode::HELLO) {
+                self.shared.stats.metrics.protocol_errors.inc();
+                self.send_error(stream, "expected HELLO")?;
+                return Ok(false);
+            }
+            // Any offer but VERSION is refused with an ERROR naming it.
+            if let Err(e) = parse_hello(body) {
+                self.shared.stats.metrics.protocol_errors.inc();
+                self.send_error(stream, &e.to_string())?;
+                return Ok(false);
+            }
+            self.handshaken = true;
+            encode_hello_ok_into(
+                self.shared.engine.scheme_tag(),
+                self.shared.engine.n(),
+                &mut self.reply,
+            );
+            send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
+            return Ok(true);
+        }
         match op {
-            Some(opcode::BATCH) => match parse_batch_ctx(body, version) {
+            Some(opcode::BATCH) => match parse_batch_ctx(body, VERSION) {
                 Ok((queries, ctx)) => {
                     // Adopt the propagated context *before* opening the
                     // span so serve.batch (and everything the engine
@@ -527,7 +530,7 @@ impl<E: QueryEngine> Conn<'_, E> {
                     let _batch_span = pl_obs::span!("serve.batch", queries.len());
                     self.answer_with_faults(&queries);
                     self.shared.stats.metrics.batches.inc();
-                    encode_batch_reply_into(&self.answers, version, &mut self.reply);
+                    encode_batch_reply_into(&self.answers, &mut self.reply);
                     send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
                     Ok(true)
                 }
@@ -542,16 +545,11 @@ impl<E: QueryEngine> Conn<'_, E> {
                     .shared
                     .engine
                     .wire_stats(&mut self.session, &self.shared.stats);
-                encode_stats_reply_into(&snap, version, &mut self.reply);
+                encode_stats_reply_into(&snap, &mut self.reply);
                 send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
                 Ok(true)
             }
             Some(opcode::HEALTH) => {
-                if version < 3 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "HEALTH requires protocol version 3")?;
-                    return Ok(false);
-                }
                 encode_health_reply_into(&self.shared.engine.health(), &mut self.reply);
                 send(stream, &self.shared.stats, &mut self.injector, &self.reply)?;
                 Ok(true)
@@ -565,11 +563,6 @@ impl<E: QueryEngine> Conn<'_, E> {
                         return Ok(false);
                     }
                 };
-                if flags != 0 && version < 5 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "TRACE_DUMP flags require protocol version 5")?;
-                    return Ok(false);
-                }
                 let snapshot = flags & trace_dump_flags::SNAPSHOT != 0;
                 let jsonl = self.shared.engine.trace_jsonl(&mut self.session, snapshot);
                 self.reply.clear();
@@ -595,11 +588,6 @@ impl<E: QueryEngine> Conn<'_, E> {
                 Ok(true)
             }
             Some(opcode::MAP_GET) => {
-                if version < 6 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "MAP_GET requires protocol version 6")?;
-                    return Ok(false);
-                }
                 if let Err(e) = parse_map_get(body) {
                     self.shared.stats.metrics.protocol_errors.inc();
                     self.send_error(stream, &e.to_string())?;
@@ -611,11 +599,6 @@ impl<E: QueryEngine> Conn<'_, E> {
                 Ok(true)
             }
             Some(opcode::MAP_SET) => {
-                if version < 6 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "MAP_SET requires protocol version 6")?;
-                    return Ok(false);
-                }
                 // A checksum-tampered or truncated map push dies here,
                 // before the engine ever sees it.
                 let req = match parse_map_set(body) {
@@ -632,11 +615,6 @@ impl<E: QueryEngine> Conn<'_, E> {
                 Ok(true)
             }
             Some(opcode::LABELS) => {
-                if version < 6 {
-                    self.shared.stats.metrics.protocol_errors.inc();
-                    self.send_error(stream, "LABELS requires protocol version 6")?;
-                    return Ok(false);
-                }
                 let (epoch, entries) = match parse_labels(body) {
                     Ok(parsed) => parsed,
                     Err(e) => {
@@ -729,7 +707,7 @@ impl<E: QueryEngine> Conn<'_, E> {
 /// flip) so a given `(seed, conn_id)` replays the same fault sequence.
 ///
 /// Byte flips are confined to `BATCH_REPLY` bodies: that is the surface
-/// protocol v3 checksums, so an injected flip is always *detectable*
+/// the reply checksum covers, so an injected flip is always *detectable*
 /// corruption (the client re-asks) rather than a silently wrong
 /// handshake parameter.
 fn send(
@@ -793,7 +771,7 @@ fn send(
 mod tests {
     use super::*;
     use crate::protocol::{
-        encode_batch, encode_hello_version, encode_map_get, parse_batch_reply, parse_hello_ok,
+        encode_batch, encode_hello, encode_map_get, parse_batch_reply, parse_hello_ok,
         parse_map_reply, read_frame, write_frame,
     };
 
@@ -838,15 +816,15 @@ mod tests {
         .expect("bind");
 
         let mut stream = TcpStream::connect(front.addr()).expect("connect");
-        write_frame(&mut stream, &encode_hello_version(4)).expect("hello");
+        write_frame(&mut stream, &encode_hello()).expect("hello");
         let ok = read_frame(&mut stream).expect("hello_ok");
-        assert_eq!(parse_hello_ok(&ok), Ok((4, 7, 100)));
+        assert_eq!(parse_hello_ok(&ok), Ok((7, 100)));
 
         let queries = vec![Query::adjacent(1, 2), Query::adjacent(3, 4)];
         write_frame(&mut stream, &encode_batch(&queries).unwrap()).expect("batch");
         let reply = read_frame(&mut stream).expect("reply");
         assert_eq!(
-            parse_batch_reply(&reply, 4).unwrap(),
+            parse_batch_reply(&reply, VERSION).unwrap(),
             vec![Answer::NotAdjacent; 2]
         );
 
@@ -863,7 +841,7 @@ mod tests {
     }
 
     #[test]
-    fn map_opcodes_are_gated_on_v6_and_default_to_unsupported() {
+    fn map_get_defaults_to_an_empty_map_reply() {
         let front = bind(
             Arc::new(EchoEngine),
             "127.0.0.1:0",
@@ -871,26 +849,29 @@ mod tests {
         )
         .expect("bind");
 
-        // On a v5 session the v6 opcodes are refused with ERROR.
-        let mut old = TcpStream::connect(front.addr()).expect("connect");
-        write_frame(&mut old, &encode_hello_version(5)).expect("hello");
-        let _ = read_frame(&mut old).expect("hello_ok");
-        write_frame(&mut old, &encode_map_get()).expect("map_get");
-        let err = read_frame(&mut old).expect("error frame");
-        assert_eq!(err.first(), Some(&opcode::ERROR));
-        assert!(String::from_utf8_lossy(&err[1..]).contains("version 6"));
-
-        // On a v6 session a map-less engine answers an empty MAP_REPLY.
-        let mut new = TcpStream::connect(front.addr()).expect("connect");
-        write_frame(&mut new, &encode_hello_version(6)).expect("hello");
-        let ok = read_frame(&mut new).expect("hello_ok");
-        assert_eq!(parse_hello_ok(&ok), Ok((6, 7, 100)));
-        write_frame(&mut new, &encode_map_get()).expect("map_get");
-        let reply = read_frame(&mut new).expect("map_reply");
+        let mut stream = TcpStream::connect(front.addr()).expect("connect");
+        write_frame(&mut stream, &encode_hello()).expect("hello");
+        let ok = read_frame(&mut stream).expect("hello_ok");
+        assert_eq!(parse_hello_ok(&ok), Ok((7, 100)));
+        write_frame(&mut stream, &encode_map_get()).expect("map_get");
+        let reply = read_frame(&mut stream).expect("map_reply");
         assert_eq!(parse_map_reply(&reply), Ok(None));
 
-        drop(old);
-        drop(new);
+        drop(stream);
+        front.shutdown();
+    }
+
+    #[test]
+    fn shutdown_wakes_a_listener_bound_to_the_unspecified_address() {
+        let front = bind(
+            Arc::new(EchoEngine),
+            "0.0.0.0:0",
+            FrontendOptions::default(),
+        )
+        .expect("bind");
+        assert!(front.addr().ip().is_unspecified());
+        assert!(wake_addr(front.addr()).ip().is_loopback());
+        // Returns only once the blocked accept loop has seen the wake.
         front.shutdown();
     }
 }

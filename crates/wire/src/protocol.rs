@@ -4,17 +4,19 @@
 //! the first body byte is the opcode. A session is:
 //!
 //! ```text
-//! client → HELLO("PLSV", version)
-//! server → HELLO_OK(version, scheme tag, n)
-//! client → BATCH(count, count × (kind, u, v)) | STATS   (any number, any order)
-//! server → BATCH_REPLY(count × answer)       | STATS_REPLY(snapshot)
+//! client → HELLO("PLSV", VERSION)
+//! server → HELLO_OK(VERSION, scheme tag, n)   | ERROR | OVERLOADED
+//! client → BATCH | STATS | TRACE_DUMP | HEALTH | MAP_GET | MAP_SET | LABELS
+//! server → the request's reply at 0x80 | op   | ERROR
 //! client → GOODBYE
 //! server → GOODBYE_OK, close
 //! ```
 //!
-//! Frames are capped at [`MAX_FRAME`] bytes so a hostile length prefix
-//! cannot drive an allocation; every parser here returns
-//! [`ProtocolError`] on malformed input, never panics.
+//! There is one protocol version, [`VERSION`]; a HELLO offering any other
+//! is answered with an `ERROR` frame naming the offered version. Frames
+//! are capped at [`MAX_FRAME`] bytes so a hostile length prefix cannot
+//! drive an allocation; every parser here returns [`ProtocolError`] on
+//! malformed input, never panics.
 
 use std::io::{IoSlice, Read, Write};
 
@@ -22,37 +24,24 @@ use pl_obs::TraceContext;
 
 use crate::stats::Snapshot;
 
-/// Newest protocol version this build speaks. Version 2 added the
-/// extended STATS reply (p90/p999, min/max, slow queries, per-shard
-/// cache counters) and the `TRACE_DUMP` opcode. Version 3 adds the
-/// resilience surface: checksummed `BATCH_REPLY` bodies (so corrupted
-/// response bytes are *detected* instead of silently mis-answering),
-/// the per-query `ANS_OVERLOADED` status, the pre-handshake
-/// `OVERLOADED` shed frame, the `HEALTH` opcode, and three extra
-/// STATS fields (faults injected, connections shed, open connections).
-/// Version 4 adds the per-query `ANS_NOT_OWNED` status for partial
-/// (cluster-partitioned) stores: the backend holds a stub for one of
-/// the queried vertices and cannot answer locally, so a router should
-/// re-ask a replica that owns the other endpoint. Version 5 adds
-/// distributed tracing: an optional `TRACE_CTX` extension trailer on
-/// `BATCH` frames (tag byte + 128-bit trace id + 64-bit parent span id)
-/// and an optional flag byte on `TRACE_DUMP` selecting a non-consuming
-/// snapshot drain. Both are strictly optional — a v5 client talking to
-/// a v4 server negotiates down and silently drops the context; it is
-/// never a hard failure. Version 6 adds live cluster reconfiguration:
-/// `MAP_GET`/`MAP_REPLY` to read a peer's current cluster map,
-/// `MAP_SET`/`MAP_OK` to stage, commit, abort, or shrink-apply an
-/// epoch-bumped map push (the blob is the self-checksummed `ClusterMap`
-/// serialization; a tampered or truncated push is rejected at this
-/// layer), and `LABELS`/`LABELS_OK` to stream re-owned vertices' full
-/// labels — FNV-checksummed per frame — into a gaining backend during a
-/// rebalance. All three opcodes are refused on pre-v6 sessions; query
-/// frames are byte-identical to v5, so old clients are unaffected.
-pub const VERSION: u8 = 6;
-
-/// Oldest protocol version this build still accepts. Version-1 sessions
-/// get the original twelve-field STATS reply.
-pub const MIN_VERSION: u8 = 1;
+/// The protocol version, the only one this build speaks. A session
+/// carries:
+///
+/// - checksummed `BATCH_REPLY` bodies (FNV-1a-32 trailer), so corrupted
+///   response bytes are *detected* instead of silently mis-answering;
+/// - the per-query `ANS_OVERLOADED` (retry) and `ANS_NOT_OWNED`
+///   (re-ask another replica) statuses;
+/// - an optional `TRACE_CTX` trailer on `BATCH` (tag byte + 128-bit
+///   trace id + 64-bit parent span id) and an optional flag byte on
+///   `TRACE_DUMP` selecting a non-consuming snapshot drain;
+/// - `HEALTH`, and the live-reconfiguration opcodes `MAP_GET`,
+///   `MAP_SET` (stage, commit, abort, or shrink-apply an epoch-bumped,
+///   self-checksummed `ClusterMap`) and `LABELS` (FNV-checksummed label
+///   migration frames).
+///
+/// Every request's reply sits at `0x80 | op`; the two request-less
+/// notices, `OVERLOADED` (`0x8E`) and `ERROR` (`0x8F`), sit at the top.
+pub const VERSION: u8 = 7;
 
 /// Handshake magic, first bytes of the HELLO body after the opcode.
 pub const MAGIC: [u8; 4] = *b"PLSV";
@@ -64,7 +53,7 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Most queries a single BATCH may carry (fits the `u16` count field).
 pub const MAX_BATCH: usize = u16::MAX as usize;
 
-/// Tag byte opening the optional v5 `TRACE_CTX` extension trailer on a
+/// Tag byte opening the optional `TRACE_CTX` extension trailer on a
 /// `BATCH` body (`'T'`).
 pub const EXT_TRACE_CTX: u8 = 0x54;
 
@@ -72,19 +61,20 @@ pub const EXT_TRACE_CTX: u8 = 0x54;
 /// 64-bit parent span id.
 pub const TRACE_CTX_LEN: usize = 1 + 8 + 8 + 8;
 
-/// Flag bits for the optional `TRACE_DUMP` flag byte (v5+). A bare
-/// one-byte `TRACE_DUMP` body keeps the pre-v5 behavior (consuming
-/// drain).
+/// Flag bits for the optional `TRACE_DUMP` flag byte. A bare one-byte
+/// `TRACE_DUMP` body is the consuming drain.
 pub mod trace_dump_flags {
     /// Non-consuming snapshot: the reader watermark stays put, so two
     /// concurrent drainers both see the full stream instead of
     /// splitting it.
     pub const SNAPSHOT: u8 = 0x01;
-    /// Every bit a v5 server understands; others are rejected.
+    /// Every bit a server understands; others are rejected.
     pub const ALL: u8 = SNAPSHOT;
 }
 
-/// Frame opcodes. Requests have the high bit clear, replies set.
+/// Frame opcodes. Requests have the high bit clear; a request's reply
+/// is `0x80 | op`. `OVERLOADED` and `ERROR` answer no particular
+/// request.
 pub mod opcode {
     /// Client handshake: magic + version.
     pub const HELLO: u8 = 0x00;
@@ -94,17 +84,17 @@ pub mod opcode {
     pub const STATS: u8 = 0x02;
     /// Orderly close; server replies `GOODBYE_OK` after draining.
     pub const GOODBYE: u8 = 0x03;
-    /// Drain the server's trace rings (v2+): reply is `TRACE_REPLY`.
+    /// Drain the server's trace rings: reply is `TRACE_REPLY`.
     pub const TRACE_DUMP: u8 = 0x04;
-    /// Ask for shard liveness (v3+): reply is `HEALTH_REPLY`.
+    /// Ask for shard liveness: reply is `HEALTH_REPLY`.
     pub const HEALTH: u8 = 0x05;
-    /// Read the peer's current cluster map (v6+): reply is `MAP_REPLY`.
+    /// Read the peer's current cluster map: reply is `MAP_REPLY`.
     pub const MAP_GET: u8 = 0x06;
-    /// Push an epoch-bumped cluster map (v6+): prepare, commit, abort,
-    /// or shrink-apply. Reply is `MAP_OK`.
+    /// Push an epoch-bumped cluster map: prepare, commit, abort, or
+    /// shrink-apply. Reply is `MAP_OK`.
     pub const MAP_SET: u8 = 0x07;
     /// Stream full labels for re-owned vertices into a gaining backend
-    /// during a rebalance (v6+): reply is `LABELS_OK`.
+    /// during a rebalance: reply is `LABELS_OK`.
     pub const LABELS: u8 = 0x08;
     /// Handshake accepted: version + scheme tag + vertex count.
     pub const HELLO_OK: u8 = 0x80;
@@ -117,17 +107,17 @@ pub mod opcode {
     /// Drained trace events as UTF-8 JSONL (possibly truncated to the
     /// frame cap at a line boundary).
     pub const TRACE_REPLY: u8 = 0x84;
+    /// Shard-liveness report: status byte + per-shard flags.
+    pub const HEALTH_REPLY: u8 = 0x85;
+    /// The peer's current cluster map, if it has one.
+    pub const MAP_REPLY: u8 = 0x86;
+    /// Outcome of a `MAP_SET`: status byte + the peer's epoch.
+    pub const MAP_OK: u8 = 0x87;
+    /// Outcome of a `LABELS` push: status byte + labels received.
+    pub const LABELS_OK: u8 = 0x88;
     /// Sent *instead of* `HELLO_OK` when the server sheds the
-    /// connection at its cap (v3); the server closes after sending it.
-    pub const OVERLOADED: u8 = 0x85;
-    /// Shard-liveness report (v3): status byte + per-shard flags.
-    pub const HEALTH_REPLY: u8 = 0x86;
-    /// The peer's current cluster map, if it has one (v6).
-    pub const MAP_REPLY: u8 = 0x87;
-    /// Outcome of a `MAP_SET`: status byte + the peer's epoch (v6).
-    pub const MAP_OK: u8 = 0x88;
-    /// Outcome of a `LABELS` push: status byte + labels received (v6).
-    pub const LABELS_OK: u8 = 0x89;
+    /// connection at its cap; the server closes after sending it.
+    pub const OVERLOADED: u8 = 0x8E;
     /// Fatal per-connection error, body is a UTF-8 message.
     pub const ERROR: u8 = 0x8F;
 }
@@ -191,15 +181,13 @@ pub enum Answer {
     /// the connection (and server) stay up.
     MalformedLabel,
     /// The server could not serve this query right now (shard-store I/O
-    /// error or shedding); the query is safe to retry. v3 wire status;
-    /// on older sessions it degrades to [`Answer::MalformedLabel`].
+    /// error or shedding); the query is safe to retry.
     Overloaded,
     /// A partial (cluster-partitioned) store holds only a stub for one
     /// of the queried vertices and cannot answer locally; a router
     /// should re-ask a replica owning the other endpoint. Retrying the
     /// *same* backend is useless, so this is not
-    /// [retryable](Answer::is_retryable). v4 wire status; on older
-    /// sessions it degrades to [`Answer::MalformedLabel`].
+    /// [retryable](Answer::is_retryable).
     NotOwned,
 }
 
@@ -234,7 +222,7 @@ pub enum ProtocolError {
     Malformed(&'static str),
     /// An opcode that makes no sense in the current state.
     UnexpectedOpcode(u8),
-    /// A v3 checksummed body failed verification — the frame was
+    /// A checksummed body failed verification — the frame was
     /// corrupted in flight; safe to retry.
     ChecksumMismatch,
 }
@@ -368,57 +356,57 @@ impl FrameBuffer {
 /// Builds a HELLO body offering [`VERSION`].
 #[must_use]
 pub fn encode_hello() -> Vec<u8> {
-    encode_hello_version(VERSION)
-}
-
-/// Builds a HELLO body offering an explicit `version` (the client's
-/// downgrade path when talking to an older server).
-#[must_use]
-pub fn encode_hello_version(version: u8) -> Vec<u8> {
     let mut b = vec![opcode::HELLO];
     b.extend_from_slice(&MAGIC);
-    b.push(version);
+    b.push(VERSION);
     b
 }
 
-/// Parses a HELLO body (opcode byte included) and returns the version,
-/// which must be within `MIN_VERSION..=VERSION`.
-pub fn parse_hello(body: &[u8]) -> Result<u8, ProtocolError> {
+/// Parses a HELLO body (opcode byte included). Any offer other than
+/// [`VERSION`] is [`ProtocolError::UnsupportedVersion`].
+pub fn parse_hello(body: &[u8]) -> Result<(), ProtocolError> {
     if body.len() != 6 || body[0] != opcode::HELLO {
         return Err(ProtocolError::Malformed("hello"));
     }
     if body[1..5] != MAGIC {
         return Err(ProtocolError::BadMagic);
     }
-    let version = body[5];
-    if !(MIN_VERSION..=VERSION).contains(&version) {
-        return Err(ProtocolError::UnsupportedVersion(version));
-    }
-    Ok(version)
+    check_version(body[5])
 }
 
-/// Builds a HELLO_OK body carrying the negotiated session `version`.
+/// `Ok` for [`VERSION`], [`ProtocolError::UnsupportedVersion`] otherwise.
+fn check_version(version: u8) -> Result<(), ProtocolError> {
+    if version == VERSION {
+        Ok(())
+    } else {
+        Err(ProtocolError::UnsupportedVersion(version))
+    }
+}
+
+/// Builds a HELLO_OK body: [`VERSION`], scheme tag, vertex count.
 #[must_use]
-pub fn encode_hello_ok(version: u8, tag: u8, n: u32) -> Vec<u8> {
+pub fn encode_hello_ok(tag: u8, n: u32) -> Vec<u8> {
     let mut b = Vec::new();
-    encode_hello_ok_into(version, tag, n, &mut b);
+    encode_hello_ok_into(tag, n, &mut b);
     b
 }
 
 /// [`encode_hello_ok`] into a reusable buffer (cleared first).
-pub fn encode_hello_ok_into(version: u8, tag: u8, n: u32, out: &mut Vec<u8>) {
+pub fn encode_hello_ok_into(tag: u8, n: u32, out: &mut Vec<u8>) {
     out.clear();
-    out.extend_from_slice(&[opcode::HELLO_OK, version, tag]);
+    out.extend_from_slice(&[opcode::HELLO_OK, VERSION, tag]);
     out.extend_from_slice(&n.to_le_bytes());
 }
 
-/// Parses a HELLO_OK body into `(version, scheme tag, n)`.
-pub fn parse_hello_ok(body: &[u8]) -> Result<(u8, u8, u32), ProtocolError> {
+/// Parses a HELLO_OK body into `(scheme tag, n)`; a version byte other
+/// than [`VERSION`] is [`ProtocolError::UnsupportedVersion`].
+pub fn parse_hello_ok(body: &[u8]) -> Result<(u8, u32), ProtocolError> {
     if body.len() != 7 || body[0] != opcode::HELLO_OK {
         return Err(ProtocolError::Malformed("hello_ok"));
     }
+    check_version(body[1])?;
     let n = crate::bytes::le_u32(&body[3..7]);
-    Ok((body[1], body[2], n))
+    Ok((body[2], n))
 }
 
 /// Builds a BATCH body.
@@ -469,10 +457,12 @@ pub fn parse_batch(body: &[u8]) -> Result<Vec<Query>, ProtocolError> {
     Ok(queries)
 }
 
-/// Builds a BATCH body, appending the v5 `TRACE_CTX` extension trailer
-/// when the session `version` supports it and a context is supplied.
-/// On a pre-v5 session the context is *silently dropped* — downgrade
-/// loses tracing, never the batch.
+/// Builds a BATCH body, appending the `TRACE_CTX` extension trailer
+/// when a set context is supplied; without one the body is exactly
+/// [`encode_batch`]'s.
+///
+/// `_version` is always [`VERSION`]; the parameter is kept for source
+/// compatibility with the benchmark package and is not consulted.
 ///
 /// # Errors
 ///
@@ -481,32 +471,27 @@ pub fn parse_batch(body: &[u8]) -> Result<Vec<Query>, ProtocolError> {
 pub fn encode_batch_ctx(
     queries: &[Query],
     ctx: Option<&TraceContext>,
-    version: u8,
+    _version: u8,
 ) -> Result<Vec<u8>, ProtocolError> {
     let mut b = encode_batch(queries)?;
-    if version >= 5 {
-        if let Some(ctx) = ctx.filter(|c| c.is_set()) {
-            b.reserve(TRACE_CTX_LEN);
-            b.push(EXT_TRACE_CTX);
-            b.extend_from_slice(&ctx.trace_hi.to_le_bytes());
-            b.extend_from_slice(&ctx.trace_lo.to_le_bytes());
-            b.extend_from_slice(&ctx.parent_span.to_le_bytes());
-        }
+    if let Some(ctx) = ctx.filter(|c| c.is_set()) {
+        b.reserve(TRACE_CTX_LEN);
+        b.push(EXT_TRACE_CTX);
+        b.extend_from_slice(&ctx.trace_hi.to_le_bytes());
+        b.extend_from_slice(&ctx.trace_lo.to_le_bytes());
+        b.extend_from_slice(&ctx.parent_span.to_le_bytes());
     }
     Ok(b)
 }
 
-/// Parses a BATCH body in the layout of the session's negotiated
-/// `version`. On v5+ sessions an optional trailing [`EXT_TRACE_CTX`]
-/// block yields the propagated context; pre-v5 sessions keep the strict
-/// exact-length check (any trailer is malformed, exactly as before).
+/// Parses a BATCH body; an optional trailing [`EXT_TRACE_CTX`] block
+/// yields the propagated context. `version` must be [`VERSION`]
+/// ([`ProtocolError::UnsupportedVersion`] otherwise).
 pub fn parse_batch_ctx(
     body: &[u8],
     version: u8,
 ) -> Result<(Vec<Query>, Option<TraceContext>), ProtocolError> {
-    if version < 5 {
-        return Ok((parse_batch(body)?, None));
-    }
+    check_version(version)?;
     if body.len() < 3 || body[0] != opcode::BATCH {
         return Err(ProtocolError::Malformed("batch header"));
     }
@@ -532,7 +517,7 @@ pub fn parse_batch_ctx(
 }
 
 /// Builds a TRACE_DUMP body. `flags == 0` emits the bare one-byte
-/// pre-v5 form; any flag bit appends the v5 flag byte.
+/// form (consuming drain); any flag bit appends the flag byte.
 #[must_use]
 pub fn encode_trace_dump(flags: u8) -> Vec<u8> {
     if flags == 0 {
@@ -558,7 +543,7 @@ pub fn parse_trace_dump(body: &[u8]) -> Result<u8, ProtocolError> {
     }
 }
 
-/// FNV-1a (32-bit) over `bytes` — the v3 reply checksum. One flipped
+/// FNV-1a (32-bit) over `bytes` — the reply checksum. One flipped
 /// byte anywhere in a checksummed body changes the digest, so response
 /// corruption surfaces as a parse error the client can retry instead of
 /// a silently wrong answer.
@@ -572,19 +557,24 @@ pub fn checksum(bytes: &[u8]) -> u32 {
     h
 }
 
-/// Builds a BATCH_REPLY body in the layout of the session's negotiated
-/// `version`. v3 appends a 4-byte FNV-1a checksum of everything before
-/// it; on v1/v2 sessions [`Answer::Overloaded`] (a v3 status) degrades
-/// to the closest legacy status, `ANS_MALFORMED`.
+/// Builds a BATCH_REPLY body:
+///
+/// ```text
+/// 0x81 | count u16 | count × status (+ u32 distance) | FNV-1a-32 u32
+/// ```
+///
+/// The trailing checksum covers every preceding body byte. `_version`
+/// is always [`VERSION`]; the parameter is kept for source compatibility
+/// with the benchmark package and is not consulted.
 #[must_use]
-pub fn encode_batch_reply(answers: &[Answer], version: u8) -> Vec<u8> {
+pub fn encode_batch_reply(answers: &[Answer], _version: u8) -> Vec<u8> {
     let mut b = Vec::with_capacity(3 + answers.len() * 5 + 4);
-    encode_batch_reply_into(answers, version, &mut b);
+    encode_batch_reply_into(answers, &mut b);
     b
 }
 
 /// [`encode_batch_reply`] into a reusable buffer (cleared first).
-pub fn encode_batch_reply_into(answers: &[Answer], version: u8, b: &mut Vec<u8>) {
+pub fn encode_batch_reply_into(answers: &[Answer], b: &mut Vec<u8>) {
     b.clear();
     b.push(opcode::BATCH_REPLY);
     b.extend_from_slice(&(answers.len() as u16).to_le_bytes());
@@ -600,42 +590,25 @@ pub fn encode_batch_reply_into(answers: &[Answer], version: u8, b: &mut Vec<u8>)
             Answer::OutOfRange => b.push(ANS_OUT_OF_RANGE),
             Answer::Unsupported => b.push(ANS_UNSUPPORTED),
             Answer::MalformedLabel => b.push(ANS_MALFORMED),
-            Answer::Overloaded => b.push(if version >= 3 {
-                ANS_OVERLOADED
-            } else {
-                ANS_MALFORMED
-            }),
-            Answer::NotOwned => b.push(if version >= 4 {
-                ANS_NOT_OWNED
-            } else {
-                ANS_MALFORMED
-            }),
+            Answer::Overloaded => b.push(ANS_OVERLOADED),
+            Answer::NotOwned => b.push(ANS_NOT_OWNED),
         }
     }
-    if version >= 3 {
-        let sum = checksum(b);
-        b.extend_from_slice(&sum.to_le_bytes());
-    }
+    let sum = checksum(b);
+    b.extend_from_slice(&sum.to_le_bytes());
 }
 
-/// Parses a BATCH_REPLY body in the layout of the session's negotiated
-/// `version`; v3 verifies and strips the trailing checksum first.
+/// Parses a BATCH_REPLY body, verifying and stripping the trailing
+/// checksum first. `version` must be [`VERSION`]
+/// ([`ProtocolError::UnsupportedVersion`] otherwise).
 pub fn parse_batch_reply(body: &[u8], version: u8) -> Result<Vec<Answer>, ProtocolError> {
-    let body = if version >= 3 {
-        if body.len() < 7 || body[0] != opcode::BATCH_REPLY {
-            return Err(ProtocolError::Malformed("batch reply header"));
-        }
-        let (payload, sum) = body.split_at(body.len() - 4);
-        let declared = crate::bytes::le_u32(sum);
-        if checksum(payload) != declared {
-            return Err(ProtocolError::ChecksumMismatch);
-        }
-        payload
-    } else {
-        body
-    };
-    if body.len() < 3 || body[0] != opcode::BATCH_REPLY {
+    check_version(version)?;
+    if body.len() < 7 || body[0] != opcode::BATCH_REPLY {
         return Err(ProtocolError::Malformed("batch reply header"));
+    }
+    let (body, sum) = body.split_at(body.len() - 4);
+    if checksum(body) != crate::bytes::le_u32(sum) {
+        return Err(ProtocolError::ChecksumMismatch);
     }
     let count = crate::bytes::le_u16(&body[1..3]) as usize;
     let mut answers = Vec::with_capacity(count.min(MAX_BATCH));
@@ -1068,29 +1041,19 @@ pub fn parse_labels_ok(body: &[u8]) -> Result<(LabelsStatus, u32), ProtocolError
     Ok((status, received))
 }
 
-/// Builds a STATS_REPLY body in the layout of the session's negotiated
-/// `version`: v1 sessions get the original twelve-field reply, v2 the
-/// extended layout with quantiles, min/max, and per-shard counters, and
-/// v3+ appends the resilience fields (faults injected, shed, open
-/// connections).
+/// Builds a STATS_REPLY body: the opcode, then [`Snapshot::to_bytes`].
 #[must_use]
-pub fn encode_stats_reply(s: &Snapshot, version: u8) -> Vec<u8> {
+pub fn encode_stats_reply(s: &Snapshot) -> Vec<u8> {
     let mut b = Vec::new();
-    encode_stats_reply_into(s, version, &mut b);
+    encode_stats_reply_into(s, &mut b);
     b
 }
 
 /// [`encode_stats_reply`] into a reusable buffer (cleared first).
-pub fn encode_stats_reply_into(s: &Snapshot, version: u8, b: &mut Vec<u8>) {
+pub fn encode_stats_reply_into(s: &Snapshot, b: &mut Vec<u8>) {
     b.clear();
     b.push(opcode::STATS_REPLY);
-    if version <= 1 {
-        b.extend_from_slice(&s.to_bytes_v1());
-    } else if version == 2 {
-        b.extend_from_slice(&s.to_bytes());
-    } else {
-        b.extend_from_slice(&s.to_bytes_v3());
-    }
+    b.extend_from_slice(&s.to_bytes());
 }
 
 /// Parses a STATS_REPLY body.
@@ -1108,58 +1071,34 @@ mod tests {
 
     #[test]
     fn hello_round_trip() {
-        assert_eq!(parse_hello(&encode_hello()), Ok(VERSION));
+        assert_eq!(parse_hello(&encode_hello()), Ok(()));
+        assert_eq!(encode_hello()[5], VERSION);
         assert_eq!(parse_hello(&[]), Err(ProtocolError::Malformed("hello")));
         let mut bad = encode_hello();
         bad[2] = b'X';
         assert_eq!(parse_hello(&bad), Err(ProtocolError::BadMagic));
-        let mut wrong_version = encode_hello();
-        wrong_version[5] = 99;
-        assert_eq!(
-            parse_hello(&wrong_version),
-            Err(ProtocolError::UnsupportedVersion(99))
-        );
-        let mut too_old = encode_hello();
-        too_old[5] = 0;
-        assert_eq!(
-            parse_hello(&too_old),
-            Err(ProtocolError::UnsupportedVersion(0))
-        );
-        // Every version in the supported range is accepted.
-        for v in MIN_VERSION..=VERSION {
-            assert_eq!(parse_hello(&encode_hello_version(v)), Ok(v));
+        // Every offer but VERSION is refused, the neighbours included.
+        for v in [0, VERSION - 1, VERSION + 1, 99] {
+            let mut offer = encode_hello();
+            offer[5] = v;
+            assert_eq!(
+                parse_hello(&offer),
+                Err(ProtocolError::UnsupportedVersion(v))
+            );
         }
     }
 
     #[test]
     fn hello_ok_round_trip() {
-        let body = encode_hello_ok(VERSION, 1, 54_321);
-        assert_eq!(parse_hello_ok(&body), Ok((VERSION, 1, 54_321)));
-        let v1 = encode_hello_ok(1, 1, 54_321);
-        assert_eq!(parse_hello_ok(&v1), Ok((1, 1, 54_321)));
-    }
-
-    #[test]
-    fn stats_reply_is_version_gated() {
-        let s = Snapshot {
-            adj_queries: 7,
-            p90_ns: 1234,
-            ..Snapshot::default()
-        };
-        let v1 = encode_stats_reply(&s, 1);
-        let v2 = encode_stats_reply(&s, 2);
-        let v3 = encode_stats_reply(&s, 3);
-        assert_eq!(v1.len(), 1 + 12 * 8);
-        assert!(v2.len() > v1.len());
-        assert_eq!(v3.len(), v2.len() + 3 * 8);
-        // All parse; older layouts lose the newer fields.
-        let from_v1 = parse_stats_reply(&v1).unwrap();
-        assert_eq!(from_v1.adj_queries, 7);
-        assert_eq!(from_v1.p90_ns, 0);
-        let from_v2 = parse_stats_reply(&v2).unwrap();
-        assert_eq!(from_v2.p90_ns, 1234);
-        let from_v3 = parse_stats_reply(&v3).unwrap();
-        assert_eq!(from_v3.p90_ns, 1234);
+        let body = encode_hello_ok(1, 54_321);
+        assert_eq!(body[1], VERSION);
+        assert_eq!(parse_hello_ok(&body), Ok((1, 54_321)));
+        let mut other = body;
+        other[1] = VERSION - 1;
+        assert_eq!(
+            parse_hello_ok(&other),
+            Err(ProtocolError::UnsupportedVersion(VERSION - 1))
+        );
     }
 
     #[test]
@@ -1176,7 +1115,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_ctx_round_trip_and_version_gating() {
+    fn batch_ctx_round_trip() {
         let queries = vec![Query::adjacent(1, 2), Query::distance(3, 4)];
         let ctx = TraceContext {
             trace_hi: 0x1111_2222_3333_4444,
@@ -1184,52 +1123,48 @@ mod tests {
             parent_span: 0x9999_AAAA_BBBB_CCCC,
         };
 
-        // v5: context survives the round trip.
-        let v5 = encode_batch_ctx(&queries, Some(&ctx), 5).unwrap();
+        let traced = encode_batch_ctx(&queries, Some(&ctx), VERSION).unwrap();
         assert_eq!(
-            parse_batch_ctx(&v5, 5).unwrap(),
+            parse_batch_ctx(&traced, VERSION).unwrap(),
             (queries.clone(), Some(ctx))
         );
 
-        // v5 without a context is byte-identical to the plain encoding
-        // and parses everywhere.
-        let bare = encode_batch_ctx(&queries, None, 5).unwrap();
+        // Without a context the body is byte-identical to the plain
+        // encoding and parses both ways.
+        let bare = encode_batch_ctx(&queries, None, VERSION).unwrap();
         assert_eq!(bare, encode_batch(&queries).unwrap());
-        assert_eq!(parse_batch_ctx(&bare, 5).unwrap(), (queries.clone(), None));
+        assert_eq!(
+            parse_batch_ctx(&bare, VERSION).unwrap(),
+            (queries.clone(), None)
+        );
         assert_eq!(parse_batch(&bare).unwrap(), queries);
 
-        // Downgrade: encoding for a v4 session silently drops the
-        // context, and the result is the plain v4 batch.
-        let v4 = encode_batch_ctx(&queries, Some(&ctx), 4).unwrap();
-        assert_eq!(v4, encode_batch(&queries).unwrap());
-        assert_eq!(parse_batch_ctx(&v4, 4).unwrap(), (queries.clone(), None));
-
-        // An unset context is never shipped, even on v5.
+        // An unset context is never shipped.
         let zero = TraceContext {
             trace_hi: 0,
             trace_lo: 0,
             parent_span: 7,
         };
-        let unset = encode_batch_ctx(&queries, Some(&zero), 5).unwrap();
+        let unset = encode_batch_ctx(&queries, Some(&zero), VERSION).unwrap();
         assert_eq!(unset, encode_batch(&queries).unwrap());
 
-        // The pre-v5 strict length check still rejects the trailer.
+        // The context-free parse keeps its strict length check.
         assert_eq!(
-            parse_batch(&v5),
+            parse_batch(&traced),
             Err(ProtocolError::Malformed("batch length"))
         );
         assert_eq!(
-            parse_batch_ctx(&v5, 4),
-            Err(ProtocolError::Malformed("batch length"))
+            parse_batch_ctx(&traced, VERSION - 1),
+            Err(ProtocolError::UnsupportedVersion(VERSION - 1))
         );
 
         // Corrupt trailers are malformed, never mis-parsed.
-        let mut bad_tag = v5.clone();
+        let mut bad_tag = traced.clone();
         let tag_at = bad_tag.len() - TRACE_CTX_LEN;
         bad_tag[tag_at] = 0x55;
-        assert!(parse_batch_ctx(&bad_tag, 5).is_err());
-        let truncated = &v5[..v5.len() - 1];
-        assert!(parse_batch_ctx(truncated, 5).is_err());
+        assert!(parse_batch_ctx(&bad_tag, VERSION).is_err());
+        let truncated = &traced[..traced.len() - 1];
+        assert!(parse_batch_ctx(truncated, VERSION).is_err());
     }
 
     #[test]
@@ -1267,14 +1202,13 @@ mod tests {
         };
         // Pre-fill each buffer with junk: `_into` must clear first.
         let mut buf = vec![0xAA; 32];
-        for version in [1, 2, 3, 4, 5, 6] {
-            encode_batch_reply_into(&answers, version, &mut buf);
-            assert_eq!(buf, encode_batch_reply(&answers, version));
-            encode_stats_reply_into(&snap, version, &mut buf);
-            assert_eq!(buf, encode_stats_reply(&snap, version));
-        }
-        encode_hello_ok_into(3, 1, 77, &mut buf);
-        assert_eq!(buf, encode_hello_ok(3, 1, 77));
+        encode_batch_reply_into(&answers, &mut buf);
+        assert_eq!(buf, encode_batch_reply(&answers, VERSION));
+        encode_stats_reply_into(&snap, &mut buf);
+        assert_eq!(buf, encode_stats_reply(&snap));
+        assert_eq!(parse_stats_reply(&buf), Ok(snap));
+        encode_hello_ok_into(1, 77, &mut buf);
+        assert_eq!(buf, encode_hello_ok(1, 77));
         encode_health_reply_into(&[true, false], &mut buf);
         assert_eq!(buf, encode_health_reply(&[true, false]));
     }
@@ -1299,59 +1233,37 @@ mod tests {
             Answer::Unreachable,
             Answer::OutOfRange,
             Answer::Unsupported,
+            Answer::MalformedLabel,
+            Answer::Overloaded,
+            Answer::NotOwned,
         ];
-        for version in [1, 2, 3, 4, 5, 6] {
-            assert_eq!(
-                parse_batch_reply(&encode_batch_reply(&answers, version), version).unwrap(),
-                answers,
-                "version {version}"
-            );
-        }
-    }
-
-    #[test]
-    fn not_owned_answer_is_version_gated() {
-        let answers = vec![Answer::NotOwned, Answer::Adjacent];
-        let v4 = encode_batch_reply(&answers, 4);
-        assert_eq!(parse_batch_reply(&v4, 4).unwrap(), answers);
-        // On a v3 session the v4-only status degrades to MalformedLabel.
-        let v3 = encode_batch_reply(&answers, 3);
+        let body = encode_batch_reply(&answers, VERSION);
+        assert_eq!(parse_batch_reply(&body, VERSION).unwrap(), answers);
         assert_eq!(
-            parse_batch_reply(&v3, 3).unwrap(),
-            vec![Answer::MalformedLabel, Answer::Adjacent]
+            parse_batch_reply(&body, VERSION + 1),
+            Err(ProtocolError::UnsupportedVersion(VERSION + 1))
         );
-        // NotOwned is a routing signal, not a same-backend retry signal.
+        // Only Overloaded is a same-backend retry signal; NotOwned is a
+        // routing signal.
+        assert!(Answer::Overloaded.is_retryable());
         assert!(!Answer::NotOwned.is_retryable());
     }
 
     #[test]
-    fn overloaded_answer_is_version_gated() {
-        let answers = vec![Answer::Adjacent, Answer::Overloaded];
-        let v3 = encode_batch_reply(&answers, 3);
-        assert_eq!(parse_batch_reply(&v3, 3).unwrap(), answers);
-        // On a v2 session the v3-only status degrades to MalformedLabel.
-        let v2 = encode_batch_reply(&answers, 2);
-        assert_eq!(
-            parse_batch_reply(&v2, 2).unwrap(),
-            vec![Answer::Adjacent, Answer::MalformedLabel]
-        );
-    }
-
-    #[test]
-    fn every_single_byte_flip_of_a_v3_reply_is_detected() {
+    fn every_single_byte_flip_of_a_reply_is_detected() {
         let answers = vec![
             Answer::Adjacent,
             Answer::NotAdjacent,
             Answer::Distance(7),
             Answer::Adjacent,
         ];
-        let body = encode_batch_reply(&answers, 3);
+        let body = encode_batch_reply(&answers, VERSION);
         for pos in 0..body.len() {
             for bit in 0..8 {
                 let mut corrupted = body.clone();
                 corrupted[pos] ^= 1 << bit;
                 assert!(
-                    parse_batch_reply(&corrupted, 3).is_err(),
+                    parse_batch_reply(&corrupted, VERSION).is_err(),
                     "flip of byte {pos} bit {bit} went undetected"
                 );
             }
@@ -1359,10 +1271,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_reply_without_checksum_is_rejected_by_v3_parse() {
-        let answers = vec![Answer::Adjacent];
-        let v2 = encode_batch_reply(&answers, 2);
-        assert!(parse_batch_reply(&v2, 3).is_err());
+    fn reply_without_checksum_is_rejected() {
+        let body = encode_batch_reply(&[Answer::Adjacent], VERSION);
+        let unchecked = &body[..body.len() - 4];
+        assert!(parse_batch_reply(unchecked, VERSION).is_err());
     }
 
     #[test]
@@ -1610,13 +1522,9 @@ mod tests {
             let _ = parse_hello(&body);
             let _ = parse_hello_ok(&body);
             let _ = parse_batch(&body);
-            let _ = parse_batch_ctx(&body, 4);
-            let _ = parse_batch_ctx(&body, 5);
+            let _ = parse_batch_ctx(&body, VERSION);
             let _ = parse_trace_dump(&body);
-            let _ = parse_batch_reply(&body, 2);
-            let _ = parse_batch_reply(&body, 3);
-            let _ = parse_batch_reply(&body, 4);
-            let _ = parse_batch_reply(&body, 5);
+            let _ = parse_batch_reply(&body, VERSION);
             let _ = parse_stats_reply(&body);
             let _ = parse_health_reply(&body);
             let _ = parse_map_get(&body);

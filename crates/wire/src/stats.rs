@@ -118,28 +118,19 @@ impl Metrics {
     }
 }
 
-/// Number of fixed `u64` fields in the version-1 `STATS` wire layout.
-const V1_FIELDS: usize = 12;
+/// Number of fixed `u64` fields before the per-shard pairs.
+const FIXED_FIELDS: usize = 18;
 
-/// Number of fixed `u64` fields in the version-2 layout, before the
-/// per-shard pairs.
-const V2_FIXED_FIELDS: usize = 18;
-
-/// Number of `u64` fields version 3 appends *after* the per-shard pairs
-/// (faults injected, shed, open connections). Deliberately odd, so a v3
-/// body can never be mistaken for a v2 body with extra shard pairs.
-const V3_TRAILER_FIELDS: usize = 3;
+/// Number of `u64` fields after the per-shard pairs (faults injected,
+/// shed, open connections).
+const TRAILER_FIELDS: usize = 3;
 
 /// A point-in-time copy of [`Metrics`], also the payload of the wire
 /// `STATS` reply.
 ///
-/// Three wire layouts exist: version 1 is the original twelve fixed
-/// `u64`s; version 2 appends p90/p999, min/max, the slow-query count,
-/// and the per-shard cache pairs; version 3 appends three resilience
-/// fields after the shard pairs. [`from_bytes`](Self::from_bytes) tells
-/// them apart by length against the declared shard count (96 bytes is
-/// v1; v2 is exactly `18 + 2s` words; v3 is `18 + 2s + 3` words — the
-/// odd trailer keeps the lengths disjoint).
+/// The wire layout is [`FIXED_FIELDS`] `u64` LE words (the last one the
+/// shard count `s`), then `2s` words of per-shard `(hits, misses)`,
+/// then the [`TRAILER_FIELDS`]-word resilience trailer.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Snapshot {
     pub adj_queries: u64,
@@ -155,32 +146,32 @@ pub struct Snapshot {
     pub protocol_errors: u64,
     /// Estimated median decode latency, ns (bucket upper edge).
     pub p50_ns: u64,
-    /// Estimated 90th-percentile decode latency, ns (v2; 0 from v1).
+    /// Estimated 90th-percentile decode latency, ns.
     pub p90_ns: u64,
     /// Estimated 99th-percentile decode latency, ns.
     pub p99_ns: u64,
-    /// Estimated 99.9th-percentile decode latency, ns (v2; 0 from v1).
+    /// Estimated 99.9th-percentile decode latency, ns.
     pub p999_ns: u64,
-    /// Smallest observed decode latency, ns (v2; 0 from v1).
+    /// Smallest observed decode latency, ns.
     pub min_ns: u64,
-    /// Largest observed decode latency, ns (v2; 0 from v1).
+    /// Largest observed decode latency, ns.
     pub max_ns: u64,
     /// Queries per second × 1000, measured over the server's lifetime.
     pub qps_milli: u64,
-    /// Queries at or over the slow-query threshold (v2; 0 from v1).
+    /// Queries at or over the slow-query threshold.
     pub slow_queries: u64,
-    /// Per-shard decode-cache `(hits, misses)` (v2; empty from v1).
+    /// Per-shard decode-cache `(hits, misses)`.
     pub shard_cache: Vec<(u64, u64)>,
-    /// Faults injected by the chaos harness (v3; 0 from v1/v2).
+    /// Faults injected by the chaos harness.
     pub faults_injected: u64,
-    /// Connections shed at the connection cap (v3; 0 from v1/v2).
+    /// Connections shed at the connection cap.
     pub shed: u64,
-    /// Connections open when the snapshot was taken (v3; 0 from v1/v2).
+    /// Connections open when the snapshot was taken.
     pub open_conns: u64,
 }
 
 impl Snapshot {
-    /// Serializes the version-2 `STATS` reply body.
+    /// Serializes the `STATS` reply body.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut fields = vec![
@@ -203,11 +194,12 @@ impl Snapshot {
             self.slow_queries,
             self.shard_cache.len() as u64,
         ];
-        debug_assert_eq!(fields.len(), V2_FIXED_FIELDS);
+        debug_assert_eq!(fields.len(), FIXED_FIELDS);
         for &(h, m) in &self.shard_cache {
             fields.push(h);
             fields.push(m);
         }
+        fields.extend([self.faults_injected, self.shed, self.open_conns]);
         let mut out = Vec::with_capacity(fields.len() * 8);
         for f in fields {
             out.extend_from_slice(&f.to_le_bytes());
@@ -215,86 +207,25 @@ impl Snapshot {
         out
     }
 
-    /// Serializes the version-3 `STATS` reply body: the v2 layout plus a
-    /// three-word resilience trailer (faults injected, shed, open
-    /// connections) after the per-shard pairs.
-    #[must_use]
-    pub fn to_bytes_v3(&self) -> Vec<u8> {
-        let mut out = self.to_bytes();
-        for f in [self.faults_injected, self.shed, self.open_conns] {
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        out
-    }
-
-    /// Serializes the legacy version-1 reply body (twelve `u64`s); the
-    /// extended fields are dropped.
-    #[must_use]
-    pub fn to_bytes_v1(&self) -> Vec<u8> {
-        let fields = [
-            self.adj_queries,
-            self.dist_queries,
-            self.batches,
-            self.connections,
-            self.cache_hits,
-            self.cache_misses,
-            self.bytes_in,
-            self.bytes_out,
-            self.protocol_errors,
-            self.p50_ns,
-            self.p99_ns,
-            self.qps_milli,
-        ];
-        let mut out = Vec::with_capacity(fields.len() * 8);
-        for f in fields {
-            out.extend_from_slice(&f.to_le_bytes());
-        }
-        out
-    }
-
-    /// Parses a `STATS` reply body of either wire version.
+    /// Parses a `STATS` reply body; `None` unless its length matches
+    /// the declared shard count exactly.
     #[must_use]
     pub fn from_bytes(buf: &[u8]) -> Option<Self> {
         if !buf.len().is_multiple_of(8) {
             return None;
         }
         let words: Vec<u64> = buf.chunks_exact(8).map(crate::bytes::le_u64).collect();
-        if words.len() == V1_FIELDS {
-            return Some(Self {
-                adj_queries: words[0],
-                dist_queries: words[1],
-                batches: words[2],
-                connections: words[3],
-                cache_hits: words[4],
-                cache_misses: words[5],
-                bytes_in: words[6],
-                bytes_out: words[7],
-                protocol_errors: words[8],
-                p50_ns: words[9],
-                p99_ns: words[10],
-                qps_milli: words[11],
-                ..Self::default()
-            });
-        }
-        if words.len() < V2_FIXED_FIELDS {
+        if words.len() < FIXED_FIELDS {
             return None;
         }
-        let shard_count = usize::try_from(words[V2_FIXED_FIELDS - 1]).ok()?;
-        let expected = shard_count
+        let shard_count = usize::try_from(words[FIXED_FIELDS - 1]).ok()?;
+        let shards_end = shard_count
             .checked_mul(2)
-            .and_then(|x| x.checked_add(V2_FIXED_FIELDS))?;
-        // A v2 body is exactly `expected` words; a v3 body carries the
-        // three-word trailer. Any other length is malformed. (The two
-        // cannot collide: a v2 body's length always matches its declared
-        // shard count exactly, and the trailer is odd-sized.)
-        let (faults_injected, shed, open_conns) = if words.len() == expected {
-            (0, 0, 0)
-        } else if words.len() == expected + V3_TRAILER_FIELDS {
-            (words[expected], words[expected + 1], words[expected + 2])
-        } else {
+            .and_then(|x| x.checked_add(FIXED_FIELDS))?;
+        if words.len() != shards_end.checked_add(TRAILER_FIELDS)? {
             return None;
-        };
-        let shard_cache = words[V2_FIXED_FIELDS..expected]
+        }
+        let shard_cache = words[FIXED_FIELDS..shards_end]
             .chunks_exact(2)
             .map(|p| (p[0], p[1]))
             .collect();
@@ -317,9 +248,9 @@ impl Snapshot {
             qps_milli: words[15],
             slow_queries: words[16],
             shard_cache,
-            faults_injected,
-            shed,
-            open_conns,
+            faults_injected: words[shards_end],
+            shed: words[shards_end + 1],
+            open_conns: words[shards_end + 2],
         })
     }
 
@@ -334,8 +265,7 @@ impl Snapshot {
         }
     }
 
-    /// Per-shard hit rates in `[0, 1]`, in shard order (empty for a v1
-    /// snapshot).
+    /// Per-shard hit rates in `[0, 1]`, in shard order.
     #[must_use]
     pub fn shard_hit_rates(&self) -> Vec<f64> {
         self.shard_cache
@@ -451,26 +381,16 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_v2() {
+    fn snapshot_round_trips() {
         let s = sample_snapshot();
         let bytes = s.to_bytes();
-        assert_eq!(bytes.len(), (18 + 2 * 3) * 8);
-        let parsed = Snapshot::from_bytes(&bytes).expect("v2 parses");
-        // The v2 layout drops the resilience trailer.
-        assert_eq!(parsed.faults_injected, 0);
-        assert_eq!(parsed.shed, 0);
-        assert_eq!(parsed.open_conns, 0);
-        assert_eq!(
-            parsed,
-            Snapshot {
-                faults_injected: 0,
-                shed: 0,
-                open_conns: 0,
-                ..s.clone()
-            }
-        );
-        assert_eq!(Snapshot::from_bytes(&bytes[..bytes.len() - 1]), None);
-        assert_eq!(Snapshot::from_bytes(&bytes[..bytes.len() - 16]), None);
+        assert_eq!(bytes.len(), (18 + 2 * 3 + 3) * 8);
+        assert_eq!(Snapshot::from_bytes(&bytes), Some(s.clone()));
+        // Any truncation is rejected: a partial word, a partial trailer,
+        // or a missing trailer.
+        for cut in [1, 8, 16, 24] {
+            assert_eq!(Snapshot::from_bytes(&bytes[..bytes.len() - cut]), None);
+        }
         assert!((s.qps() - 12.5).abs() < 1e-9);
         assert!((s.cache_hit_rate() - 9.0 / 15.0).abs() < 1e-9);
         let rates = s.shard_hit_rates();
@@ -480,53 +400,11 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_round_trips_v3() {
-        let s = sample_snapshot();
-        let bytes = s.to_bytes_v3();
-        assert_eq!(bytes.len(), (18 + 2 * 3 + 3) * 8);
-        assert_eq!(Snapshot::from_bytes(&bytes), Some(s.clone()));
-        // Truncating the trailer down to the v2 length still parses (as
-        // v2, zeroing the trailer); any partial trailer is rejected.
-        let v2_len = bytes.len() - 3 * 8;
-        assert!(Snapshot::from_bytes(&bytes[..v2_len]).is_some());
-        assert_eq!(Snapshot::from_bytes(&bytes[..v2_len + 8]), None);
-        assert_eq!(Snapshot::from_bytes(&bytes[..v2_len + 16]), None);
-    }
-
-    #[test]
-    fn snapshot_v3_trailer_cannot_masquerade_as_shards() {
-        // A v3 body reinterpreted with a larger shard count would need
-        // an even number of extra words; the trailer is three. Claiming
-        // one more shard over a v3 body must fail.
-        let s = sample_snapshot();
-        let mut bytes = s.to_bytes_v3();
-        let idx = (V2_FIXED_FIELDS - 1) * 8;
-        bytes[idx..idx + 8].copy_from_slice(&4u64.to_le_bytes());
-        assert_eq!(Snapshot::from_bytes(&bytes), None);
-    }
-
-    #[test]
-    fn snapshot_v1_layout_still_parses() {
-        let s = sample_snapshot();
-        let v1 = s.to_bytes_v1();
-        assert_eq!(v1.len(), 96);
-        let parsed = Snapshot::from_bytes(&v1).expect("v1 parses");
-        assert_eq!(parsed.adj_queries, s.adj_queries);
-        assert_eq!(parsed.p50_ns, s.p50_ns);
-        assert_eq!(parsed.p99_ns, s.p99_ns);
-        assert_eq!(parsed.qps_milli, s.qps_milli);
-        // Extended fields degrade to zero/empty.
-        assert_eq!(parsed.p90_ns, 0);
-        assert_eq!(parsed.p999_ns, 0);
-        assert!(parsed.shard_cache.is_empty());
-    }
-
-    #[test]
     fn snapshot_rejects_inconsistent_shard_count() {
         let s = sample_snapshot();
         let mut bytes = s.to_bytes();
         // Claim one more shard than the body carries.
-        let idx = (V2_FIXED_FIELDS - 1) * 8;
+        let idx = (FIXED_FIELDS - 1) * 8;
         bytes[idx..idx + 8].copy_from_slice(&4u64.to_le_bytes());
         assert_eq!(Snapshot::from_bytes(&bytes), None);
         // Absurd shard count must not allocate or wrap.

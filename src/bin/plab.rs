@@ -24,7 +24,7 @@
 //! plab loadgen <HOST:PORT> [--connections N] [--requests R] [--batch B]
 //!              [--skew uniform|zipf:S] [--seed X] [--retries N]
 //!              [--deadline-ms MS] [--backoff-ms MS] [--verify graph.el]
-//! plab health  <HOST:PORT>                    # shard liveness (v3)
+//! plab health  <HOST:PORT>                    # shard liveness
 //! plab stats   <HOST:PORT> [--prom]           # live server metrics
 //! plab trace   <HOST:PORT> [--snapshot] [--probe] [--out FILE]
 //! plab trace   --cluster <ROUTER> [--probe] [--explain ID|probe]
@@ -40,8 +40,8 @@
 //! endpoint, `serve --trace` turns on the in-process trace ring (drained
 //! remotely by `plab trace`), `encode --trace FILE` writes the encode
 //! pipeline's phase spans as JSONL, and `stats <HOST:PORT> --prom`
-//! renders a server's STATS snapshot in Prometheus text form. With
-//! protocol v5, `cluster launch --trace` enables tracing cluster-wide:
+//! renders a server's STATS snapshot in Prometheus text form.
+//! `cluster launch --trace` enables tracing cluster-wide:
 //! a traced batch (`plab trace --probe`) carries its trace context
 //! across the router to every backend, and `plab trace --cluster
 //! <router>` returns the causally merged, origin-tagged span stream
@@ -54,7 +54,7 @@
 //! the run exits nonzero if any answer disagrees with the graph.
 
 use std::fs;
-use std::io::BufRead;
+use std::io::{self, BufRead, Write};
 use std::process::ExitCode;
 
 use pl_cluster::{
@@ -91,16 +91,49 @@ fn main() -> ExitCode {
             eprintln!("{}", USAGE);
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown subcommand `{other}`\n{USAGE}")),
+        Some(other) => Err(format!("unknown subcommand `{other}`\n{USAGE}").into()),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader went away (`plab gen … | head`): a clean exit.
+        Err(Failure::Output(e)) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("plab: writing output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Msg(msg)) => {
             eprintln!("plab: {msg}");
             ExitCode::FAILURE
         }
     }
 }
+
+/// Why a subcommand stopped early: a message for the user, or standard
+/// output failing under it.
+enum Failure {
+    Msg(String),
+    Output(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Self::Msg(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Self::Msg(msg.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Self {
+        Self::Output(e)
+    }
+}
+
+type CmdResult = Result<(), Failure>;
 
 const USAGE: &str = "usage:
   plab gen     --model <chung-lu|ba|er|waxman|pl|hierarchical> --n N
@@ -190,17 +223,14 @@ fn load_graph(path: &str) -> Result<Graph, String> {
     pl_graph::io::from_edge_list(&text).map_err(|e| format!("parsing {path}: {e}"))
 }
 
-fn emit(out: Option<&str>, content: &str) -> Result<(), String> {
+fn emit(out: Option<&str>, content: &str) -> CmdResult {
     match out {
-        Some(path) => fs::write(path, content).map_err(|e| format!("writing {path}: {e}")),
-        None => {
-            print!("{content}");
-            Ok(())
-        }
+        Some(path) => Ok(fs::write(path, content).map_err(|e| format!("writing {path}: {e}"))?),
+        None => Ok(io::stdout().lock().write_all(content.as_bytes())?),
     }
 }
 
-fn cmd_gen(raw: &[String]) -> Result<(), String> {
+fn cmd_gen(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let model = args.require("model")?.to_string();
     let n: usize = args.get_parsed("n", 0)?;
@@ -235,7 +265,7 @@ fn cmd_gen(raw: &[String]) -> Result<(), String> {
                 &mut rng,
             )
         }
-        other => return Err(format!("unknown model `{other}`")),
+        other => return Err(format!("unknown model `{other}`").into()),
     };
     emit(args.get("out"), &pl_graph::io::to_edge_list(&g))?;
     eprintln!(
@@ -246,7 +276,7 @@ fn cmd_gen(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(raw: &[String]) -> Result<(), String> {
+fn cmd_stats(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let path = args.positional.first().ok_or("missing graph file")?;
     // `stats <HOST:PORT>` queries a live server instead of a graph file.
@@ -258,26 +288,33 @@ fn cmd_stats(raw: &[String]) -> Result<(), String> {
     let g = load_graph(path)?;
     let comps = pl_graph::components::connected_components(&g);
     let degeneracy = pl_graph::degeneracy::degeneracy_ordering(&g).degeneracy;
-    println!("vertices       {}", g.vertex_count());
-    println!("edges          {}", g.edge_count());
-    println!("max degree     {}", g.max_degree());
-    println!("sparsity m/n   {:.3}", g.sparsity());
-    println!("components     {}", comps.count());
-    println!("degeneracy     {degeneracy}");
-    println!(
+    let mut out = io::stdout().lock();
+    writeln!(out, "vertices       {}", g.vertex_count())?;
+    writeln!(out, "edges          {}", g.edge_count())?;
+    writeln!(out, "max degree     {}", g.max_degree())?;
+    writeln!(out, "sparsity m/n   {:.3}", g.sparsity())?;
+    writeln!(out, "components     {}", comps.count())?;
+    writeln!(out, "degeneracy     {degeneracy}")?;
+    writeln!(
+        out,
         "diameter (est) {}",
         pl_graph::traversal::double_sweep_diameter(&g, 0)
-    );
+    )?;
     if args.get("ddist").is_some_and(|v| v != "false") {
         let h = pl_graph::degree::DegreeHistogram::of(&g);
-        println!("\ndegree  count  ddist     |V>=k|");
+        writeln!(out, "\ndegree  count  ddist     |V>=k|")?;
         let total_classes = h.nonzero().count();
         for (printed, (k, c)) in h.nonzero().enumerate() {
             if printed >= 20 {
-                println!("… ({} more classes)", total_classes - printed);
+                writeln!(out, "… ({} more classes)", total_classes - printed)?;
                 break;
             }
-            println!("{k:>6}  {c:>5}  {:<8.6}  {}", h.ddist(k), h.tail_count(k));
+            writeln!(
+                out,
+                "{k:>6}  {c:>5}  {:<8.6}  {}",
+                h.ddist(k),
+                h.tail_count(k)
+            )?;
         }
     }
     Ok(())
@@ -285,13 +322,14 @@ fn cmd_stats(raw: &[String]) -> Result<(), String> {
 
 /// `plab stats <HOST:PORT>`: fetch a live server's snapshot; `--prom`
 /// renders it in Prometheus text form instead of the human layout.
-fn server_stats(addr: std::net::SocketAddr, prom: bool) -> Result<(), String> {
+fn server_stats(addr: std::net::SocketAddr, prom: bool) -> CmdResult {
     let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     let stats = client.stats().map_err(|e| format!("fetching stats: {e}"))?;
+    let mut out = io::stdout().lock();
     if prom {
-        print!("{}", snapshot_prom(&stats));
+        write!(out, "{}", snapshot_prom(&stats))?;
     } else {
-        println!("{stats}");
+        writeln!(out, "{stats}")?;
     }
     client.goodbye().ok();
     Ok(())
@@ -345,7 +383,7 @@ fn snapshot_prom(s: &pl_serve::Snapshot) -> String {
     p.finish()
 }
 
-fn cmd_fit(raw: &[String]) -> Result<(), String> {
+fn cmd_fit(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let path = args.positional.first().ok_or("missing graph file")?;
     let g = load_graph(path)?;
@@ -357,21 +395,22 @@ fn cmd_fit(raw: &[String]) -> Result<(), String> {
     let max_x_min = (g.vertex_count() as f64).sqrt().ceil() as u64;
     match pl_stats::fit_power_law(&degrees, max_x_min.max(10), 10) {
         Some(fit) => {
-            println!("alpha          {:.4}", fit.alpha);
-            println!("x_min          {}", fit.x_min);
-            println!("KS distance    {:.4}", fit.ks);
-            println!("tail samples   {}", fit.n_tail);
+            let mut out = io::stdout().lock();
+            writeln!(out, "alpha          {:.4}", fit.alpha)?;
+            writeln!(out, "x_min          {}", fit.x_min)?;
+            writeln!(out, "KS distance    {:.4}", fit.ks)?;
+            writeln!(out, "tail samples   {}", fit.n_tail)?;
             let k = pl_stats::paper::PaperConstants::new(g.vertex_count().max(1), fit.alpha);
-            println!("paper C        {:.4}", k.c);
-            println!("paper i1       {}", k.i1);
-            println!("paper C'       {:.1}", k.c_prime);
+            writeln!(out, "paper C        {:.4}", k.c)?;
+            writeln!(out, "paper i1       {}", k.i1)?;
+            writeln!(out, "paper C'       {:.1}", k.c_prime)?;
             Ok(())
         }
         None => Err("not enough degree data to fit a power law".into()),
     }
 }
 
-fn cmd_encode(raw: &[String]) -> Result<(), String> {
+fn cmd_encode(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let scheme_name = args.require("scheme")?.to_string();
     let path = args.positional.first().ok_or("missing graph file")?;
@@ -462,7 +501,7 @@ fn cmd_encode(raw: &[String]) -> Result<(), String> {
                     format!("threshold tau={tau}"),
                 )
             }
-            None => return Err(format!("unknown scheme `{other}`")),
+            None => return Err(format!("unknown scheme `{other}`").into()),
         },
     };
 
@@ -504,7 +543,7 @@ fn load_labeling(path: &str) -> Result<TaggedLabeling, String> {
     TaggedLabeling::load(path).map_err(|e| format!("{path}: {e}"))
 }
 
-fn cmd_query(raw: &[String]) -> Result<(), String> {
+fn cmd_query(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     if args.get("stdin").is_some_and(|v| v != "false") {
         let [path] = args.positional.as_slice() else {
@@ -520,20 +559,21 @@ fn cmd_query(raw: &[String]) -> Result<(), String> {
     let v: u32 = v.parse().map_err(|_| format!("bad vertex id {v:?}"))?;
     let n = tagged.labeling.len();
     if (u as usize) >= n || (v as usize) >= n {
-        return Err(format!("vertex out of range (n = {n})"));
+        return Err(format!("vertex out of range (n = {n})").into());
     }
     let (a, b) = (tagged.labeling.label(u), tagged.labeling.label(v));
-    println!("{}", decode_adjacent(tagged.tag, a, b));
+    writeln!(io::stdout().lock(), "{}", decode_adjacent(tagged.tag, a, b))?;
     Ok(())
 }
 
 /// Batch mode: the labeling is loaded once, then one `u v` pair per stdin
 /// line is answered per output line. Any malformed or out-of-range pair
 /// aborts with a non-zero exit so pipelines fail loudly.
-fn query_stdin(path: &str) -> Result<(), String> {
+fn query_stdin(path: &str) -> CmdResult {
     let tagged = load_labeling(path)?;
     let n = tagged.labeling.len();
     let stdin = std::io::stdin();
+    let mut out = io::stdout().lock();
     for (line_no, line) in stdin.lock().lines().enumerate() {
         let line = line.map_err(|e| format!("reading stdin: {e}"))?;
         let line = line.trim();
@@ -542,10 +582,7 @@ fn query_stdin(path: &str) -> Result<(), String> {
         }
         let mut parts = line.split_whitespace();
         let (Some(u), Some(v), None) = (parts.next(), parts.next(), parts.next()) else {
-            return Err(format!(
-                "line {}: expected `u v`, got {line:?}",
-                line_no + 1
-            ));
+            return Err(format!("line {}: expected `u v`, got {line:?}", line_no + 1).into());
         };
         let parse = |s: &str| -> Result<u32, String> {
             s.parse()
@@ -553,18 +590,15 @@ fn query_stdin(path: &str) -> Result<(), String> {
         };
         let (u, v) = (parse(u)?, parse(v)?);
         if (u as usize) >= n || (v as usize) >= n {
-            return Err(format!(
-                "line {}: vertex out of range (n = {n})",
-                line_no + 1
-            ));
+            return Err(format!("line {}: vertex out of range (n = {n})", line_no + 1).into());
         }
         let (a, b) = (tagged.labeling.label(u), tagged.labeling.label(v));
-        println!("{}", decode_adjacent(tagged.tag, a, b));
+        writeln!(out, "{}", decode_adjacent(tagged.tag, a, b))?;
     }
     Ok(())
 }
 
-fn cmd_serve(raw: &[String]) -> Result<(), String> {
+fn cmd_serve(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let path = args.positional.first().ok_or("missing labeling file")?;
     let addr = args.get("addr").unwrap_or("127.0.0.1:7401");
@@ -617,7 +651,6 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
         fault_plan,
         idle_timeout: (idle_ms > 0).then(|| std::time::Duration::from_millis(idle_ms)),
         stall_timeout: (stall_ms > 0).then(|| std::time::Duration::from_millis(stall_ms)),
-        max_version: None,
     };
     let handle =
         pl_serve::serve_with(store, addr, options).map_err(|e| format!("binding {addr}: {e}"))?;
@@ -651,16 +684,16 @@ fn cmd_serve(raw: &[String]) -> Result<(), String> {
 /// group, `stats` prints a router's merged snapshot, `stub` writes the
 /// all-stub sub-store a joining backend boots from, and `rebalance`
 /// drives a live epoch-bumped reconfiguration through a router.
-fn cmd_cluster(raw: &[String]) -> Result<(), String> {
+fn cmd_cluster(raw: &[String]) -> CmdResult {
     match raw.first().map(String::as_str) {
         Some("split") => cluster_split(&raw[1..]),
         Some("launch") => cluster_launch(&raw[1..]),
         Some("stats") => cluster_stats(&raw[1..]),
         Some("stub") => cluster_stub(&raw[1..]),
         Some("rebalance") => cluster_rebalance(&raw[1..]),
-        _ => Err(format!(
-            "expected `plab cluster <split|launch|stats|stub|rebalance>`\n{USAGE}"
-        )),
+        _ => Err(
+            format!("expected `plab cluster <split|launch|stats|stub|rebalance>`\n{USAGE}").into(),
+        ),
     }
 }
 
@@ -678,7 +711,7 @@ fn cluster_shape(args: &Args) -> Result<(usize, usize, u64), String> {
     Ok((backends, replicas, seed))
 }
 
-fn cluster_split(raw: &[String]) -> Result<(), String> {
+fn cluster_split(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let path = args.positional.first().ok_or("missing labeling file")?;
     let (backends, replicas, seed) = cluster_shape(&args)?;
@@ -718,7 +751,7 @@ fn cluster_split(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cluster_launch(raw: &[String]) -> Result<(), String> {
+fn cluster_launch(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let path = args.positional.first().ok_or("missing labeling file")?;
     let (backends, replicas, seed) = cluster_shape(&args)?;
@@ -802,7 +835,7 @@ fn cluster_launch(raw: &[String]) -> Result<(), String> {
 /// `plab cluster stub`: the all-stub sub-store of a labeling — what a
 /// joining backend serves (with `--partial`) until a rebalance streams
 /// its share of full labels in.
-fn cluster_stub(raw: &[String]) -> Result<(), String> {
+fn cluster_stub(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let path = args.positional.first().ok_or("missing labeling file")?;
     let out = args.get("out").ok_or("missing --out")?;
@@ -823,7 +856,7 @@ fn cluster_stub(raw: &[String]) -> Result<(), String> {
 /// epoch-bump the cluster map (`--add`/`--remove`/`--map`), stream
 /// re-owned labels into gaining backends while the router dual-routes,
 /// commit, shrink the losers. Zero downtime; rolled back on failure.
-fn cluster_rebalance(raw: &[String]) -> Result<(), String> {
+fn cluster_rebalance(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let path = args.positional.first().ok_or("missing labeling file")?;
     let router = args.get("router").ok_or("missing --router")?;
@@ -851,14 +884,17 @@ fn cluster_rebalance(raw: &[String]) -> Result<(), String> {
     for addr in &report.shrunk {
         eprintln!("backend {addr}: shrunk to new partition");
     }
-    println!(
+    writeln!(
+        io::stdout().lock(),
         "rebalanced epoch {} -> {} ({} vertices moved)",
-        report.old_epoch, report.new_epoch, report.moved
-    );
+        report.old_epoch,
+        report.new_epoch,
+        report.moved
+    )?;
     Ok(())
 }
 
-fn cluster_stats(raw: &[String]) -> Result<(), String> {
+fn cluster_stats(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let addr = args.positional.first().ok_or("missing router address")?;
     let addr: std::net::SocketAddr = addr
@@ -866,14 +902,14 @@ fn cluster_stats(raw: &[String]) -> Result<(), String> {
         .map_err(|_| format!("bad router address {addr:?}"))?;
     let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-    println!("{stats}");
+    writeln!(io::stdout().lock(), "{stats}")?;
     client.goodbye().ok();
     Ok(())
 }
 
 /// `plab trace <HOST:PORT>`: drain the server's trace ring buffers over
 /// the wire and print (or save) the JSONL. A plain dump consumes the
-/// drained events; `--snapshot` (protocol v5) reads without consuming.
+/// drained events; `--snapshot` reads without consuming.
 /// Against a router the dump is already cluster-wide: the router merges
 /// its own rings with every backend's, origin-tagged (`--cluster` is
 /// accepted for clarity but the merge happens server-side). `--probe`
@@ -882,7 +918,7 @@ fn cluster_stats(raw: &[String]) -> Result<(), String> {
 /// probe`) renders that trace as a causal span tree with the per-hop
 /// latency decomposition. `--in FILE` explains a previously saved dump
 /// without connecting anywhere.
-fn cmd_trace(raw: &[String]) -> Result<(), String> {
+fn cmd_trace(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let snapshot = args.get("snapshot").is_some_and(|v| v != "false");
     let probe = args.get("probe").is_some_and(|v| v != "false");
@@ -905,12 +941,6 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
             .map_err(|_| format!("bad server address {addr:?}"))?;
         let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
         if probe {
-            if client.version() < 5 {
-                return Err(format!(
-                    "--probe needs protocol v5, server speaks v{}",
-                    client.version()
-                ));
-            }
             let ctx = pl_obs::TraceContext::root();
             let queries = [pl_serve::Query::adjacent(0, 0)];
             client
@@ -936,8 +966,8 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
     eprintln!("{} trace events", jsonl.lines().count());
     if let Some(id) = explain_id {
         match pl_cluster::explain_trace(&jsonl, &id) {
-            Some(text) => println!("{text}"),
-            None => return Err(format!("trace {id} not found in dump")),
+            Some(text) => writeln!(io::stdout().lock(), "{text}")?,
+            None => return Err(format!("trace {id} not found in dump").into()),
         }
         if let Some(out) = args.get("out") {
             emit(Some(out), &jsonl)?;
@@ -948,7 +978,7 @@ fn cmd_trace(raw: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
+fn cmd_loadgen(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let addr = args.positional.first().ok_or("missing server address")?;
     let addr: std::net::SocketAddr = addr
@@ -961,7 +991,7 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
                 s.parse()
                     .map_err(|_| format!("bad zipf exponent in {other:?}"))?,
             ),
-            None => return Err(format!("unknown skew {other:?}")),
+            None => return Err(format!("unknown skew {other:?}").into()),
         },
     };
     // Any retry-shaped flag opts the run into the resilient workers;
@@ -1008,24 +1038,28 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
         None => loadgen::run(addr, &config),
     }
     .map_err(|e| format!("load run failed: {e}"))?;
-    println!(
+    let mut out = io::stdout().lock();
+    writeln!(
+        out,
         "{} queries over {} connections in {:.3}s: {:.0} qps ({} adjacent)",
         report.queries, config.connections, report.elapsed_secs, report.qps, report.adjacent_true
-    );
+    )?;
     if retry.is_some() {
-        println!(
+        writeln!(
+            out,
             "resilience: {} retries absorbed, {} queries failed, {:.2}% success, p99 batch {:.3}ms",
             report.retries,
             report.failed,
             report.success_rate() * 100.0,
             report.p99_batch_ns as f64 / 1e6
-        );
+        )?;
     }
     if reference.is_some() {
-        println!(
+        writeln!(
+            out,
             "verified against reference graph: {} mismatches",
             report.mismatches
-        );
+        )?;
     }
     // Fetch closing stats with retries when resilience is on: under an
     // injected-fault plan a bare connection may itself be dropped.
@@ -1044,20 +1078,21 @@ fn cmd_loadgen(raw: &[String]) -> Result<(), String> {
             stats
         }
     };
-    println!("--- server stats ---\n{stats}");
+    writeln!(out, "--- server stats ---\n{stats}")?;
     if report.mismatches > 0 {
         return Err(format!(
             "{} answers disagreed with the reference graph",
             report.mismatches
-        ));
+        )
+        .into());
     }
     Ok(())
 }
 
-/// `plab health <HOST:PORT>`: the server's shard-liveness report
-/// (protocol v3). Exit code is the health status, so scripts can gate
+/// `plab health <HOST:PORT>`: the server's shard-liveness report.
+/// Exit code is the health status, so scripts can gate
 /// on it directly.
-fn cmd_health(raw: &[String]) -> Result<(), String> {
+fn cmd_health(raw: &[String]) -> CmdResult {
     let args = Args::parse(raw)?;
     let addr = args.positional.first().ok_or("missing server address")?;
     let addr: std::net::SocketAddr = addr
@@ -1065,12 +1100,13 @@ fn cmd_health(raw: &[String]) -> Result<(), String> {
         .map_err(|_| format!("bad server address {addr:?}"))?;
     let mut client = Client::connect(addr).map_err(|e| format!("connecting {addr}: {e}"))?;
     let report = client.health().map_err(|e| format!("health check: {e}"))?;
+    let mut out = io::stdout().lock();
     for (i, up) in report.shards.iter().enumerate() {
-        println!("shard {i}: {}", if *up { "ok" } else { "POISONED" });
+        writeln!(out, "shard {i}: {}", if *up { "ok" } else { "POISONED" })?;
     }
     client.goodbye().ok();
     if report.healthy {
-        println!("healthy ({} shards)", report.shards.len());
+        writeln!(out, "healthy ({} shards)", report.shards.len())?;
         Ok(())
     } else {
         Err("server reports unhealthy shards".into())

@@ -2,7 +2,7 @@
 //! fit → encode → query pipeline a user would run from a shell.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn plab(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_plab"))
@@ -400,6 +400,27 @@ fn serve_and_loadgen_round_trip() {
 
     let _ = std::fs::remove_file(graph);
     let _ = std::fs::remove_file(labels);
+}
+
+/// A reader that goes away early (`plab gen … | head -1`) ends the
+/// command cleanly: exit status 0, no panic on the closed pipe.
+#[test]
+fn gen_exits_cleanly_when_stdout_closes_early() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_plab"))
+        .args([
+            "gen", "--model", "chung-lu", "--n", "20000", "--alpha", "2.5", "--seed", "1",
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("plab should launch");
+    // The edge list is hundreds of KB, far more than a pipe buffer
+    // holds, so plab is still writing when the read end closes.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("plab should exit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }
 
 #[test]
